@@ -41,11 +41,8 @@ from .softplm import (
     MaskedSequenceModel,
     SoftPlmEnergy,
     calibrate_temperature,
-    discrete_conditionals,
-    expected_embeddings,
     load_model,
     save_model,
-    soft_conditionals,
 )
 from .sampler import (
     ChainState,

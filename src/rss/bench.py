@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, argmax_decode, as_logits
+from .core import Rng, argmax_decode, as_logits, hamming_distance
 from .energy import (
     CompositeEnergy,
     CountingEnergy,
@@ -31,14 +29,6 @@ from .sampler import SamplerConfig, run_chain
 from .softplm import MaskedSequenceModel, SoftPlmEnergy
 
 METHODS = ("rss", "rso", "rso-noplm")
-
-
-def worker_count() -> int:
-    """Parallelism cap from RSS_THREADS (default 1: sequential)."""
-    try:
-        return max(1, int(os.environ.get("RSS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -96,10 +86,6 @@ def run_rso(logits0, energy: EnergyModel, eta: float, steps: int) -> RsoTrajecto
         diverged=diverged,
         energy_evaluations=counting.calls,
     )
-
-
-def hamming_distance(a, b) -> int:
-    return int((np.asarray(a) != np.asarray(b)).sum())
 
 
 def cluster_sequences(seqs, radius: int) -> np.ndarray:
@@ -236,15 +222,17 @@ class MethodResult:
     pooled_designable: int
     pooled_clusters: int
     failed_seeds: list
+    failure_reasons: list                  # "<Type>: <message>" per failed seed
     curve: list                            # (threshold, count, rate) rows
 
+    # the medians are None (JSON null) when no seed succeeded
     @property
-    def median_designable(self) -> float:
-        return float(np.median(self.per_seed_designable))
+    def median_designable(self) -> float | None:
+        return float(np.median(self.per_seed_designable)) if self.per_seed_designable else None
 
     @property
-    def median_clusters(self) -> float:
-        return float(np.median(self.per_seed_clusters))
+    def median_clusters(self) -> float | None:
+        return float(np.median(self.per_seed_clusters)) if self.per_seed_clusters else None
 
     @property
     def total_energy_evals(self) -> int:
@@ -348,9 +336,9 @@ def _run_one_seed(cfg: CampaignConfig, method: str, seed_index: int):
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run every configured method over all seeds and build the report.
 
-    Per-seed failures are recorded and skipped, not fatal. Compute parity
-    (identical per-seed evaluation counts across methods) is tracked from
-    actual call counts and reported, never assumed.
+    Per-seed failures are recorded with their reason and skipped, not
+    fatal. Compute parity (identical per-seed evaluation counts across
+    methods) is tracked from actual call counts and reported, never assumed.
     """
     all_energies = enumerate_discrete_energies(cfg.landscape.energy)
     threshold = float(np.quantile(all_energies, cfg.designable_quantile))
@@ -359,23 +347,15 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
     results = {}
     for method in cfg.methods:
-        workers = worker_count()
-        seed_ids = list(range(cfg.seeds))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(
-                    pool.map(lambda s: _run_seed_safe(cfg, method, s), seed_ids)
-                )
-        else:
-            outcomes = [_run_seed_safe(cfg, method, s) for s in seed_ids]
-
-        per_designable, per_clusters, per_evals, failed = [], [], [], []
+        per_designable, per_clusters, per_evals, failed, reasons = [], [], [], [], []
         pooled = []
-        for seed_index, outcome in zip(seed_ids, outcomes):
-            if outcome is None:
+        for seed_index in range(cfg.seeds):
+            try:
+                decoded, evals = _run_one_seed(cfg, method, seed_index)
+            except Exception as exc:  # one failed seed must not end the campaign
                 failed.append(seed_index)
+                reasons.append(f"{type(exc).__name__}: {exc}")
                 continue
-            decoded, evals = outcome
             per_evals.append(evals)
             pooled.append(decoded)
             designable = designable_surrogate(
@@ -420,6 +400,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             pooled_designable=int(pooled_designable.shape[0]),
             pooled_clusters=pooled_clusters,
             failed_seeds=failed,
+            failure_reasons=reasons,
             curve=curve,
         )
 
@@ -441,13 +422,6 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         "landscape_modes": int(cfg.landscape.modes.shape[0]),
     }
     return CampaignReport(results=results, compute_parity=parity, config_echo=config_echo)
-
-
-def _run_seed_safe(cfg: CampaignConfig, method: str, seed_index: int):
-    try:
-        return _run_one_seed(cfg, method, seed_index)
-    except Exception:
-        return None
 
 
 def _check_parity(results: dict) -> bool:

@@ -36,6 +36,7 @@ from .softplm import (
     calibrate_temperature,
     load_model,
 )
+from .textio import open_text, write_text
 from .verify import (
     K_MC_DEFAULT,
     K_VARIANTS_DEFAULT,
@@ -207,16 +208,15 @@ def dump_resolved_config(values: dict, command: str, path: str) -> None:
     """Echo the fully-resolved config; the 'out' key is omitted so outputs
     are independent of where they were written."""
     schema = _SCHEMAS[command]
-    lines = [f"# rss-version={__version__} resolved config for '{command}'"]
+    lines = []
     for section in schema:
         lines.append(f"[{section}]")
         for key in schema[section]:
-            if key == "out":
-                continue
-            lines.append(f"{key} = {_format_value(values[section][key])}")
+            if key != "out":
+                lines.append(f"{key} = {_format_value(values[section][key])}")
         lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    write_text(path, "\n".join(lines),
+               [f"rss-version={__version__} resolved config for '{command}'"])
 
 
 def _prepare_outdir(out: str, force: bool) -> None:
@@ -230,7 +230,7 @@ def _prepare_outdir(out: str, force: bool) -> None:
 
 
 def _header(seed: int) -> str:
-    return f"# rss-version={__version__} seed={seed}\n"
+    return f"rss-version={__version__} seed={seed}"
 
 
 def _meta(seed: int) -> dict:
@@ -264,7 +264,7 @@ def _build_base_energy(energy_cfg: dict, out: str):
             Rng(energy_cfg["landscape_seed"]),
         )
         save_landscape(landscape, os.path.join(out, "landscape.txt"),
-                       comment=_header(energy_cfg["landscape_seed"]).strip("# \n"))
+                       comment=_header(energy_cfg["landscape_seed"]))
         return landscape.energy, landscape
     if kind == "landscape-file":
         if not energy_cfg["file"]:
@@ -274,8 +274,7 @@ def _build_base_energy(energy_cfg: dict, out: str):
     raise ConfigError(f"unknown energy kind {kind!r}")
 
 
-def cmd_run(values: dict, out: str, force: bool) -> int:
-    _prepare_outdir(out, force)
+def cmd_run(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     sampler_cfg = SamplerConfig(steps=values["run"]["steps"], **values["sampler"])
 
@@ -295,27 +294,24 @@ def cmd_run(values: dict, out: str, force: bool) -> int:
     shape = energy.shape
     logits0 = 0.5 * rng.normal(shape)
 
-    trace_path = os.path.join(out, "trace.csv")
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as trace:
-        trace.write(_header(seed))
+    with open_text(os.path.join(out, "trace.csv"), [_header(seed)]) as trace:
         summary = run_chain(
             logits0, sampler_cfg, energy, model=model, rng=rng,
             trace=trace, snapshot_stride=values["run"]["snapshot_stride"],
         )
 
     save_snapshots(os.path.join(out, "snapshots.txt"), summary.snapshots, shape,
-                   comment=_header(seed).strip("# \n"))
+                   comment=_header(seed))
 
-    seq_lines = [_header(seed).rstrip("\n")]
+    seq_lines = []
     for idx, (step_idx, logits) in enumerate(summary.snapshots):
         tokens = argmax_decode(logits)
         if shape[1] <= 20:
             text = decode_to_letters(tokens)
         else:
             text = " ".join(str(t) for t in tokens)
-        seq_lines.append(f"{idx}\t{text}")
-    with open(os.path.join(out, "sequences.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(seq_lines) + "\n")
+        seq_lines.append(f"{idx}\t{text}\n")
+    write_text(os.path.join(out, "sequences.txt"), "".join(seq_lines), [_header(seed)])
 
     burn = sampler_cfg.burn_in
     post = summary.post_burn_in_energies(min(burn, summary.steps))
@@ -336,14 +332,11 @@ def cmd_run(values: dict, out: str, force: bool) -> int:
         "energy_evaluations": summary.energy_evaluations,
         "snapshot_count": len(summary.snapshots),
     }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-    dump_resolved_config(values, "run", os.path.join(out, "resolved.ini"))
+    write_text(os.path.join(out, "summary.json"), json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_validate(values: dict, out: str, force: bool) -> int:
-    _prepare_outdir(out, force)
+def cmd_validate(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     vcfg = values["validate"]
     model = _build_model(values["model"])
@@ -356,22 +349,18 @@ def cmd_validate(values: dict, out: str, force: bool) -> int:
         k_mc=vcfg["k_mc"],
         k_variants=vcfg["k_variants"],
     )
-    with open(os.path.join(out, "validation.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(reports_to_json(reports, meta=_meta(seed)))
+    write_text(os.path.join(out, "validation.json"), reports_to_json(reports, meta=_meta(seed)))
 
-    lines = [_header(seed).rstrip("\n"), "metric\tvalue\tn"]
+    lines = ["metric\tvalue\tn"]
     for name in sorted(reports):
         rep = reports[name]
         value = "undefined" if rep.value is None else format(rep.value, ".6g")
         lines.append(f"{name}\t{value}\t{rep.sample_count}")
-    with open(os.path.join(out, "validation.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    dump_resolved_config(values, "validate", os.path.join(out, "resolved.ini"))
+    write_text(os.path.join(out, "validation.txt"), "\n".join(lines) + "\n", [_header(seed)])
     return 0
 
 
-def cmd_calibrate(values: dict, out: str, force: bool) -> int:
-    _prepare_outdir(out, force)
+def cmd_calibrate(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     ccfg = values["calibrate"]
     model = _build_model(values["model"])
@@ -395,14 +384,12 @@ def cmd_calibrate(values: dict, out: str, force: bool) -> int:
         "n_contexts": ccfg["n_contexts"],
         "reference": ccfg["reference_file"] or f"model(scale={ccfg['reference_scale']})",
     }
-    with open(os.path.join(out, "calibration.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-    dump_resolved_config(values, "calibrate", os.path.join(out, "resolved.ini"))
+    write_text(os.path.join(out, "calibration.json"),
+               json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_bench(values: dict, out: str, force: bool) -> int:
-    _prepare_outdir(out, force)
+def cmd_bench(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     bcfg = values["bench"]
     sampler_cfg = SamplerConfig(**values["sampler"])
@@ -415,7 +402,7 @@ def cmd_bench(values: dict, out: str, force: bool) -> int:
             Rng(bcfg["landscape_seed"]),
         )
         save_landscape(landscape, os.path.join(out, "landscape.txt"),
-                       comment=_header(seed).strip("# \n"))
+                       comment=_header(seed))
 
     shape = landscape.energy.shape
     model = _build_model(values["model"], length=shape[0], vocab=shape[1])
@@ -438,12 +425,12 @@ def cmd_bench(values: dict, out: str, force: bool) -> int:
     )
     report = run_campaign(campaign)
 
-    with open(os.path.join(out, "campaign.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json(meta=_meta(seed)))
-    with open(os.path.join(out, "curve.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header(seed))
-        fh.write(report.curve_csv())
-    dump_resolved_config(values, "bench", os.path.join(out, "resolved.ini"))
+    write_text(os.path.join(out, "campaign.json"), report.to_json(meta=_meta(seed)))
+    write_text(os.path.join(out, "curve.csv"), report.curve_csv(), [_header(seed)])
+
+    for name, res in sorted(report.results.items()):
+        for seed_index, reason in zip(res.failed_seeds, res.failure_reasons):
+            print(f"{name} seed {seed_index} failed: {reason}", file=sys.stderr)
 
     if not report.compute_parity:
         print("compute parity violated: unequal energy-evaluation counts", file=sys.stderr)
@@ -489,7 +476,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        return _COMMANDS[args.command](values, out, args.force)
+        _prepare_outdir(out, args.force)
+        status = _COMMANDS[args.command](values, out)
+        dump_resolved_config(values, args.command, os.path.join(out, "resolved.ini"))
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

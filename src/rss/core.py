@@ -119,6 +119,10 @@ def one_hot(tokens, vocab: int) -> np.ndarray:
     return out
 
 
+def hamming_distance(a, b) -> int:
+    return int((np.asarray(a) != np.asarray(b)).sum())
+
+
 def _check_simplex_pair(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, as_logits, row_marginals
+from .core import Rng, as_logits, hamming_distance, row_marginals
+from .textio import read_blocks, write_blocks
 
 
 class EnergyModel(ABC):
@@ -302,15 +303,11 @@ class PlantedLandscape:
     designable_threshold: float = field(default=float("nan"))
 
 
-def _hamming(a: np.ndarray, b: np.ndarray) -> int:
-    return int((a != b).sum())
-
-
 def _draw_separated_sequences(length, vocab, n_modes, rng: Rng, attempts=10_000):
     modes: list[np.ndarray] = []
     for _ in range(attempts):
         cand = np.array([rng.integer(vocab) for _ in range(length)], dtype=np.int64)
-        if all(_hamming(cand, m) >= 2 for m in modes):
+        if all(hamming_distance(cand, m) >= 2 for m in modes):
             modes.append(cand)
             if len(modes) == n_modes:
                 return np.stack(modes)
@@ -412,78 +409,44 @@ def _verify_planted(landscape: PlantedLandscape, designable_quantile: float) -> 
     return True
 
 
-# --- landscape text format ------------------------------------------------
+# --- landscape file ---------------------------------------------------------
 #
-# Line-oriented, human-readable, bit-exact round trip (17 significant digit
-# floats). Layout:
-#   header:  "planted-landscape v1", then "seed/L/K/contacts/modes/depth"
-#   [fields]      L rows of K floats
-#   [contact i j] K rows of K floats, one block per contact
-#   [modes]       M rows of L ints
-
-
-def _fmt_row(values) -> str:
-    return " ".join(format(v, ".17g") for v in values)
+# The shared text-block format (rss.textio): header seed/L/K/contacts/modes/
+# depth, then [fields] (L x K), one [contact i j] (K x K) per contact and
+# [modes] (M x L tokens).
 
 
 def save_landscape(landscape: PlantedLandscape, path, comment: str | None = None) -> None:
     energy = landscape.energy
     length, vocab = energy.shape
-    lines = ["# planted-landscape v1"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"seed {landscape.seed}")
-    lines.append(f"L {length}")
-    lines.append(f"K {vocab}")
-    lines.append(f"contacts {energy.couplings.shape[0]}")
-    lines.append(f"modes {landscape.modes.shape[0]}")
-    lines.append(f"depth {format(landscape.depth, '.17g')}")
-    lines.append("[fields]")
-    lines.extend(_fmt_row(row) for row in energy.fields)
+    header = {
+        "seed": landscape.seed,
+        "L": length,
+        "K": vocab,
+        "contacts": energy.couplings.shape[0],
+        "modes": landscape.modes.shape[0],
+        "depth": landscape.depth,
+    }
+    blocks = [("fields", energy.fields)]
     for c in range(energy.couplings.shape[0]):
-        lines.append(f"[contact {energy.idx_i[c]} {energy.idx_j[c]}]")
-        lines.extend(_fmt_row(row) for row in energy.couplings[c])
-    lines.append("[modes]")
-    lines.extend(" ".join(str(t) for t in mode) for mode in landscape.modes)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        blocks.append((f"contact {energy.idx_i[c]} {energy.idx_j[c]}", energy.couplings[c]))
+    blocks.append(("modes", landscape.modes))
+    write_blocks(path, ["planted-landscape v1", comment], header, blocks)
 
 
 def load_landscape(path) -> PlantedLandscape:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = {}
-    pos = 0
-    while pos < len(lines) and not lines[pos].startswith("["):
-        key, val = lines[pos].split(maxsplit=1)
-        header[key] = val
-        pos += 1
-    length, vocab = int(header["L"]), int(header["K"])
-    n_contacts, n_modes = int(header["contacts"]), int(header["modes"])
-
-    def read_block(tag_prefix, rows):
-        nonlocal pos
-        if not lines[pos].startswith(tag_prefix):
-            raise ValueError(f"expected block {tag_prefix!r} at line {pos}")
-        tag = lines[pos]
-        pos += 1
-        block = np.array(
-            [[float(x) for x in lines[pos + r].split()] for r in range(rows)]
-        )
-        pos += rows
-        return tag, block
-
-    _, fields = read_block("[fields]", length)
+    header, blocks = read_blocks(path)
+    arrays = dict(blocks)
+    if "fields" not in arrays or "modes" not in arrays:
+        raise ValueError(f"landscape file {path} needs [fields] and [modes] blocks")
     contacts = []
-    for _ in range(n_contacts):
-        tag, mat = read_block("[contact", vocab)
-        i, j = (int(x) for x in tag[len("[contact") : -1].split())
-        contacts.append((i, j, mat))
-    _, modes = read_block("[modes]", n_modes)
-
+    for tag, mat in blocks:
+        if tag.startswith("contact "):
+            _, i, j = tag.split()
+            contacts.append((int(i), int(j), mat))
     landscape = PlantedLandscape(
-        energy=PairwiseContactEnergy(contacts, fields),
-        modes=modes.astype(np.int64),
+        energy=PairwiseContactEnergy(contacts, arrays["fields"]),
+        modes=arrays["modes"].astype(np.int64),
         seed=int(header["seed"]),
         depth=float(header["depth"]),
     )

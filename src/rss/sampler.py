@@ -22,6 +22,7 @@ import numpy as np
 from .core import Rng, as_logits
 from .energy import EnergyModel, CountingEnergy
 from .softplm import MaskedSequenceModel
+from .textio import read_blocks, write_blocks
 
 MASK_MODES = ("paper", "exact")
 MAX_MASK_ATTEMPTS = 1_000_000
@@ -446,7 +447,7 @@ def run_chain(
     accepted walk and 0.98 after each rejected walk, but only during the
     first cfg.burn_in steps; eta is frozen afterwards so the post-burn-in
     kernel is exactly stationary. Snapshots of the logits are kept every
-    ``snapshot_stride`` steps. ``trace`` may be a path or open text handle;
+    ``snapshot_stride`` steps. ``trace`` is an open text handle, or None;
     rows are step,kind,energy,log_alpha,accepted,mask_size with the energy
     of the state after the move. ``debug_check_interval`` > 0 re-evaluates
     the cached (energy, gradient) every that-many steps and raises on
@@ -460,15 +461,8 @@ def run_chain(
     local_cfg = dataclasses.replace(cfg)
     state = ChainState.initialize(logits0, counting)
 
-    own_trace = None
-    sink = None
     if trace is not None:
-        if hasattr(trace, "write"):
-            sink = trace
-        else:
-            own_trace = open(trace, "w", encoding="utf-8", newline="\n")
-            sink = own_trace
-        sink.write(TRACE_HEADER + "\n")
+        trace.write(TRACE_HEADER + "\n")
 
     walk_proposals = walk_accepts = jump_proposals = jump_accepts = 0
     post_walk_proposals = post_walk_accepts = 0
@@ -505,8 +499,8 @@ def run_chain(
                 min_logits = state.logits.copy()
             if (t + 1) % snapshot_stride == 0:
                 snapshots.append((t + 1, state.logits.copy()))
-            if sink is not None:
-                sink.write(
+            if trace is not None:
+                trace.write(
                     f"{t + 1},{record.kind},{state.energy!r},"
                     f"{record.log_alpha!r},{int(record.accepted)},{record.mask_size}\n"
                 )
@@ -517,10 +511,8 @@ def run_chain(
                         f"cached (energy, gradient) diverged at step {t + 1}"
                     )
     finally:
-        if own_trace is not None:
-            own_trace.close()
-        elif sink is not None:
-            sink.flush()
+        if trace is not None:
+            trace.flush()
 
     return ChainSummary(
         steps=local_cfg.steps,
@@ -593,36 +585,10 @@ def ess_and_autocorr(trace) -> AutocorrResult:
 def save_snapshots(path, snapshots, shape: tuple[int, int], comment: str | None = None) -> None:
     """Write thinned logit snapshots in the shared text-block format."""
     length, vocab = shape
-    lines = ["# logit-snapshots v1"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.extend([f"L {length}", f"K {vocab}"])
-    for step_idx, logits in snapshots:
-        lines.append(f"[snapshot {step_idx}]")
-        lines.extend(
-            " ".join(format(v, ".17g") for v in row) for row in logits
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_blocks(path, ["logit-snapshots v1", comment], {"L": length, "K": vocab},
+                 [(f"snapshot {step_idx}", logits) for step_idx, logits in snapshots])
 
 
 def load_snapshots(path) -> list[tuple[int, np.ndarray]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = {}
-    pos = 0
-    while pos < len(lines) and not lines[pos].startswith("["):
-        key, val = lines[pos].split()
-        header[key] = int(val)
-        pos += 1
-    length = header["L"]
-    out = []
-    while pos < len(lines):
-        step_idx = int(lines[pos].split()[1].rstrip("]"))
-        pos += 1
-        block = np.array(
-            [[float(v) for v in lines[pos + r].split()] for r in range(length)]
-        )
-        pos += length
-        out.append((step_idx, block))
-    return out
+    _, blocks = read_blocks(path)
+    return [(int(tag.split()[1]), block) for tag, block in blocks]

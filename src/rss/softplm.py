@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import Rng, as_logits, one_hot, row_marginals
 from .energy import EnergyModel
+from .textio import read_blocks, write_blocks
 
 LOG_TAU_LOW = float(np.log(0.05))
 LOG_TAU_HIGH = float(np.log(20.0))
@@ -165,19 +166,6 @@ def _tempered_log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
     return scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
 
 
-def expected_embeddings(model: MaskedSequenceModel, logits) -> np.ndarray:
-    """Expected embeddings of a logit matrix's marginals."""
-    return model.expected_embeddings(row_marginals(logits))
-
-
-def soft_conditionals(model: MaskedSequenceModel, logits, tau: float) -> np.ndarray:
-    return model.conditionals_from_logits(logits, tau)
-
-
-def discrete_conditionals(model: MaskedSequenceModel, tokens, tau: float) -> np.ndarray:
-    return model.conditionals_from_tokens(tokens, tau)
-
-
 class SoftPlmEnergy(EnergyModel):
     """Alignment energy between relaxed marginals and masked conditionals.
 
@@ -290,15 +278,14 @@ def calibrate_temperature(
 
 # --- model weight file ------------------------------------------------------
 #
-# Same conventions as the landscape format: shape header, one named block
-# per array, 17-significant-digit floats, bit-exact round trip.
+# The shared text-block format (rss.textio): header L/K/d, then one block
+# per weight array; vectors are stored as one-row blocks.
 
 _BLOCKS = ("embed", "mask", "positional", "mix", "readout", "bias")
 
 
 def save_model(model: MaskedSequenceModel, path) -> None:
     length, vocab = model.shape
-    width = model.width
     arrays = {
         "embed": model.embed,
         "mask": model.mask_embed[None, :],
@@ -307,39 +294,16 @@ def save_model(model: MaskedSequenceModel, path) -> None:
         "readout": model.readout,
         "bias": model.bias[None, :],
     }
-    lines = ["# masked-sequence-model v1", f"L {length}", f"K {vocab}", f"d {width}"]
-    for name in _BLOCKS:
-        lines.append(f"[{name}]")
-        lines.extend(
-            " ".join(format(v, ".17g") for v in row) for row in arrays[name]
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = {"L": length, "K": vocab, "d": model.width}
+    write_blocks(path, ["masked-sequence-model v1"], header,
+                 [(name, arrays[name]) for name in _BLOCKS])
 
 
 def load_model(path) -> MaskedSequenceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = {}
-    pos = 0
-    while pos < len(lines) and not lines[pos].startswith("["):
-        key, val = lines[pos].split()
-        header[key] = int(val)
-        pos += 1
-    length, vocab, width = header["L"], header["K"], header["d"]
-    rows = {
-        "embed": vocab, "mask": 1, "positional": length,
-        "mix": width, "readout": width, "bias": 1,
-    }
-    arrays = {}
-    for name in _BLOCKS:
-        if lines[pos] != f"[{name}]":
-            raise ValueError(f"expected block [{name}] in {path}")
-        pos += 1
-        arrays[name] = np.array(
-            [[float(x) for x in lines[pos + r].split()] for r in range(rows[name])]
-        )
-        pos += rows[name]
+    _, blocks = read_blocks(path)
+    arrays = dict(blocks)
+    if set(arrays) != set(_BLOCKS):
+        raise ValueError(f"model file {path} needs blocks {list(_BLOCKS)}, got {list(arrays)}")
     return MaskedSequenceModel(
         embed=arrays["embed"],
         mask_embed=arrays["mask"][0],

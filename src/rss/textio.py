@@ -1,0 +1,61 @@
+"""The one text writer and the block format every data file shares.
+
+Every file ``rss`` writes goes through ``open_text``: UTF-8 with ``"\\n"``
+line ends on every platform, so a seeded run gives byte-identical files.
+Landscape, model-weight and snapshot files share one grammar:
+
+    # comment            any number of lines, ignored on read
+    key value            header, one pair per line
+    [tag]                starts a block; a tag may hold words: [contact 0 1]
+    v v v ...            one matrix row per line, numbers to 17 significant
+                         digits (float64 round-trips bit-exactly)
+
+A block runs to the next ``[tag]`` line or the end of the file.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def open_text(path, comments=()):
+    """Open ``path`` for writing and put each non-empty comment on a ``# `` line."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.writelines(f"# {comment}\n" for comment in comments if comment)
+    return fh
+
+
+def write_text(path, text: str, comments=()) -> None:
+    with open_text(path, comments) as fh:
+        fh.write(text)
+
+
+def write_blocks(path, comments, header: dict, blocks) -> None:
+    """Write ``(tag, rows)`` blocks; float header values get 17 digits."""
+    lines = [
+        f"{key} {format(value, '.17g') if isinstance(value, float) else value}"
+        for key, value in header.items()
+    ]
+    for tag, rows in blocks:
+        lines.append(f"[{tag}]")
+        lines.extend(" ".join(format(v, ".17g") for v in row) for row in rows)
+    write_text(path, "\n".join(lines) + "\n", comments)
+
+
+def read_blocks(path) -> tuple[dict, list]:
+    """Returns (header of str values, [(tag, 2-D float64 array)])."""
+    header: dict[str, str] = {}
+    blocks: list[tuple[str, list]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or raw.startswith("#"):
+                continue
+            if line.startswith("["):
+                blocks.append((line[1:-1], []))
+            elif blocks:
+                blocks[-1][1].append([float(x) for x in line.split()])
+            else:
+                key, value = line.split(maxsplit=1)
+                header[key] = value
+    return header, [(tag, np.array(rows)) for tag, rows in blocks]

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from rss import bench
 from rss.bench import (
     CampaignConfig,
     cluster_sequences,
@@ -204,11 +206,19 @@ class TestCampaign:
         assert lines[0] == "method,threshold,designable_count,success_rate"
         assert len(lines) == 1 + 2 * 8  # two methods, eight thresholds
 
-    def test_threads_env_does_not_change_results(self, landscape, model, monkeypatch):
-        r1 = run_campaign(self.make_config(landscape, model, seeds=2))
-        monkeypatch.setenv("RSS_THREADS", "3")
-        r2 = run_campaign(self.make_config(landscape, model, seeds=2))
-        assert r1.to_json() == r2.to_json()
+    def test_failed_seeds_keep_their_reason(self, monkeypatch):
+        def fail(cfg, method, seed_index):
+            raise KeyError(f"seed {seed_index}")
+
+        monkeypatch.setattr(bench, "_run_one_seed", fail)
+        landscape = planted_landscape(4, 3, 2, 1.0, Rng(0))
+        cfg = self.make_config(landscape, None, seeds=2, methods=("rso",), lam=0.0)
+        res = run_campaign(cfg).results["rso"]
+        assert res.failed_seeds == [0, 1]
+        assert res.failure_reasons == ["KeyError: 'seed 0'", "KeyError: 'seed 1'"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            assert res.median_designable is None and res.median_clusters is None
 
     def test_invalid_method_rejected(self, landscape, model):
         with pytest.raises(ValueError):

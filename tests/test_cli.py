@@ -1,6 +1,7 @@
 import json
 import os
 
+from rss import bench
 from rss.cli import main
 
 
@@ -275,6 +276,28 @@ snapshot_stride = 50
         main(["bench", "--config", cfg, "--out", str(out1)])
         main(["bench", "--config", cfg, "--out", str(out2)])
         assert read_tree(out1) == read_tree(out2)
+
+    def test_failed_seeds_reported(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, method, seed_index):
+            raise KeyError(f"seed {seed_index}")
+
+        monkeypatch.setattr(bench, "_run_one_seed", fail)
+        cfg = write(tmp_path / "b.ini", self.CONFIG)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"{method} seed {s} failed: KeyError: 'seed {s}'"
+            for method in ("rso", "rss") for s in (0, 1)
+        ]
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        text = (out / "campaign.json").read_text()
+        methods = json.loads(text, parse_constant=reject)["methods"]
+        assert methods["rss"]["median_designable"] is None
+        assert methods["rso"]["median_clusters"] is None
 
 
 class TestConfigErrors:

@@ -6,11 +6,8 @@ from rss.softplm import (
     MaskedSequenceModel,
     SoftPlmEnergy,
     calibrate_temperature,
-    discrete_conditionals,
-    expected_embeddings,
     load_model,
     save_model,
-    soft_conditionals,
 )
 
 L, K, D = 6, 5, 8
@@ -60,14 +57,6 @@ class TestExpectedEmbeddings:
         )
         np.testing.assert_allclose(z, direct, atol=1e-14)
 
-    def test_logit_front_door(self, model):
-        rng = Rng(2)
-        logits = rng.normal((L, K))
-        np.testing.assert_array_equal(
-            expected_embeddings(model, logits),
-            model.expected_embeddings(row_marginals(logits)),
-        )
-
 
 class TestConditionals:
     def test_shared_path_bitwise_identity(self, model):
@@ -82,8 +71,8 @@ class TestConditionals:
         saturated = 800.0 * one_hot(tokens, K)
         assert np.array_equal(row_marginals(saturated), one_hot(tokens, K))
         assert np.array_equal(
-            soft_conditionals(model, saturated, 1.0),
-            discrete_conditionals(model, tokens, 1.0),
+            model.conditionals_from_logits(saturated, 1.0),
+            model.conditionals_from_tokens(tokens, 1.0),
         )
 
     def test_high_temperature_flattens(self, model):

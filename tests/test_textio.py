@@ -1,0 +1,132 @@
+"""The block format itself, pinned by literal files.
+
+Round-trip tests elsewhere compare the code with itself; these files were
+written by an earlier release, so a drift in the format on both the read
+and the write side fails here.
+"""
+
+import numpy as np
+
+from rss.energy import load_landscape, save_landscape
+from rss.sampler import load_snapshots, save_snapshots
+from rss.softplm import load_model, save_model
+
+LANDSCAPE = """\
+# planted-landscape v1
+# rss-version=0.1.0 seed=0
+seed 0
+L 3
+K 2
+contacts 3
+modes 1
+depth 1
+[fields]
+-0.024408911823448388 -0.018141966095243663
+-0.010543338545638485 0.013721017879137761
+0.034750445648089254 -0.004284488764801142
+[contact 0 1]
+0.0034966705717679901 -0.017855645772037031
+-0.65461349816968384 0.043466668171004572
+[contact 0 2]
+0.031569365437641404 -0.02345784119356642
+-0.70884738236820166 -0.020775815417911739
+[contact 1 2]
+-0.66528913402175849 -0.077501025821294478
+-0.0072930554644181911 -0.041530364908435508
+[modes]
+1 0 0
+"""
+
+MODEL = """\
+# masked-sequence-model v1
+L 1
+K 2
+d 2
+[embed]
+0.10000000000000001 -2.5
+0.33333333333333331 9.9999999999999995e-21
+[mask]
+3 -0
+[positional]
+1e+22 0.66666666666666663
+[mix]
+0.5 0.25
+-1 7
+[readout]
+1.0000000000000001e-05 123456789
+0.20000000000000001 -0.29999999999999999
+[bias]
+0.69999999999999996 -1.1000000000000001
+"""
+
+SNAPSHOTS = """\
+# logit-snapshots v1
+# rss-version=0.1.0 seed=7
+L 2
+K 2
+[snapshot 50]
+0.10000000000000001 -0.20000000000000001
+1.5 2
+[snapshot 100]
+0.14285714285714285 -1.0000000000000001e-09
+0 5.0000000000000003e+300
+"""
+
+
+def assert_bits(actual, expected):
+    expected = np.array(expected, dtype=np.float64)
+    assert actual.dtype == np.float64 and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_landscape_file(tmp_path):
+    path = tmp_path / "landscape.txt"
+    path.write_bytes(LANDSCAPE.encode())
+    land = load_landscape(path)
+    assert_bits(land.energy.fields, [
+        [-0.024408911823448388, -0.018141966095243663],
+        [-0.010543338545638485, 0.013721017879137761],
+        [0.034750445648089254, -0.004284488764801142],
+    ])
+    assert_bits(land.energy.couplings, [
+        [[0.00349667057176799, -0.01785564577203703],
+         [-0.6546134981696838, 0.04346666817100457]],
+        [[0.031569365437641404, -0.02345784119356642],
+         [-0.7088473823682017, -0.02077581541791174]],
+        [[-0.6652891340217585, -0.07750102582129448],
+         [-0.007293055464418191, -0.04153036490843551]],
+    ])
+    assert land.energy.idx_i.tolist() == [0, 0, 1]
+    assert land.energy.idx_j.tolist() == [1, 2, 2]
+    assert land.modes.dtype == np.int64 and land.modes.tolist() == [[1, 0, 0]]
+    assert land.seed == 0 and land.depth == 1.0
+    again = tmp_path / "again.txt"
+    save_landscape(land, again, comment="rss-version=0.1.0 seed=0")
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_model_file(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(MODEL.encode())
+    model = load_model(path)
+    assert_bits(model.embed, [[0.1, -2.5], [1 / 3, 1e-20]])
+    assert_bits(model.mask_embed, [3.0, -0.0])
+    assert_bits(model.positional, [[1e22, 2 / 3]])
+    assert_bits(model.mix, [[0.5, 0.25], [-1.0, 7.0]])
+    assert_bits(model.readout, [[1e-5, 123456789.0], [0.2, -0.3]])
+    assert_bits(model.bias, [0.7, -1.1])
+    again = tmp_path / "again.txt"
+    save_model(model, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_snapshot_file(tmp_path):
+    path = tmp_path / "snapshots.txt"
+    path.write_bytes(SNAPSHOTS.encode())
+    snapshots = load_snapshots(path)
+    assert [step for step, _ in snapshots] == [50, 100]
+    assert_bits(snapshots[0][1], [[0.1, -0.2], [1.5, 2.0]])
+    assert_bits(snapshots[1][1], [[1 / 7, -1e-9], [0.0, 5e300]])
+    again = tmp_path / "again.txt"
+    save_snapshots(again, snapshots, (2, 2), comment="rss-version=0.1.0 seed=7")
+    assert again.read_bytes() == path.read_bytes()
