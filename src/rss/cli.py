@@ -402,7 +402,7 @@ def cmd_bench(values: dict, out: str) -> int:
             Rng(bcfg["landscape_seed"]),
         )
         save_landscape(landscape, os.path.join(out, "landscape.txt"),
-                       comment=_header(seed))
+                       comment=_header(bcfg["landscape_seed"]))
 
     shape = landscape.energy.shape
     model = _build_model(values["model"], length=shape[0], vocab=shape[1])

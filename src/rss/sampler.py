@@ -25,12 +25,14 @@ from .softplm import MaskedSequenceModel
 from .textio import read_blocks, write_blocks
 
 MASK_MODES = ("paper", "exact")
-MAX_MASK_ATTEMPTS = 1_000_000
+# sample_mask draws by rejection while Z(p) is at least this (at most 8
+# expected attempts per mask) and directly below it
+REJECTION_MIN_Z = 0.125
 _LOG_FLOOR = 1e-300
 
 
 class MaskSamplingError(RuntimeError):
-    """Mask resampling failed to land in 1 <= |S| <= s_max within the attempt cap."""
+    """No site set with 1 <= |S| <= s_max has positive probability: Z(p) = 0."""
 
 
 @dataclass
@@ -39,8 +41,9 @@ class SamplerConfig:
 
     mask_mode selects how the mask-selection mass enters acceptance:
     ``paper`` uses the raw Bernoulli product; ``exact`` (default) divides by
-    Z(p) = P(1 <= |S| <= s_max), which is what the resample-until-valid
-    mask draw actually does, and is required for exact reversibility.
+    Z(p) = P(1 <= |S| <= s_max), because the mask is drawn from the Bernoulli
+    product conditioned on 1 <= |S| <= s_max (see ``sample_mask``), and is
+    required for exact reversibility.
     """
 
     beta: float
@@ -193,22 +196,31 @@ def mask_probabilities(gradient: np.ndarray, kappa: float, epsilon: float) -> np
     return np.minimum(1.0, kappa * norms / (top + epsilon))
 
 
-def _truncated_size_distribution(probs: np.ndarray, s_max: int) -> np.ndarray:
-    # Poisson-binomial size probabilities for sizes 0..s_max; trajectories
-    # exceeding s_max are dropped (they can never return). O(L * s_max).
+def _size_table(probs: np.ndarray, s_max: int) -> tuple[list[list[float]], float]:
+    # table[i][k] = P(exactly k of sites 0..i-1 are picked) for k <= s_max;
+    # trajectories exceeding s_max are dropped (they can never return).
+    # Plain floats, O(L * s_max). Returns the table and Z(p).
     cap = min(s_max, probs.size)
-    dist = np.zeros(cap + 1, dtype=np.float64)
-    dist[0] = 1.0
-    for p in probs:
-        dist[1:] = dist[1:] * (1.0 - p) + dist[:-1] * p
-        dist[0] *= 1.0 - p
-    return dist
+    row = [1.0] + [0.0] * cap
+    table = [row]
+    for p in probs.tolist():
+        q = 1.0 - p
+        row = [row[0] * q] + [row[k] * q + row[k - 1] * p for k in range(1, cap + 1)]
+        table.append(row)
+    return table, float(np.sum(row[1:]))
 
 
 def mask_normalizer(probs: np.ndarray, s_max: int) -> float:
     """Z(p) = P(1 <= |S| <= s_max) for independent Bernoulli site draws."""
-    dist = _truncated_size_distribution(np.asarray(probs, dtype=np.float64), s_max)
-    return float(dist[1:].sum())
+    return _size_table(np.asarray(probs, dtype=np.float64), s_max)[1]
+
+
+def _log_product(sites: np.ndarray, probs: np.ndarray) -> float:
+    # log prod p_i^{i in S} (1-p_i)^{i not in S}
+    member = np.zeros(probs.size, dtype=bool)
+    member[np.asarray(sites, dtype=np.int64)] = True
+    terms = np.where(member, probs, 1.0 - probs)
+    return float(np.log(np.maximum(terms, _LOG_FLOOR)).sum())
 
 
 def mask_log_mass(
@@ -217,14 +229,11 @@ def mask_log_mass(
     """log mass of a specific site set under the chosen accounting mode.
 
     ``paper``: raw product prod p_i^{i in S} (1-p_i)^{i not in S}.
-    ``exact``: raw product minus log Z(p), the true probability under
-    resample-until-valid.
+    ``exact``: raw product minus log Z(p), the probability of S under the
+    Bernoulli product conditioned on 1 <= |S| <= s_max.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    member = np.zeros(probs.size, dtype=bool)
-    member[np.asarray(sites, dtype=np.int64)] = True
-    terms = np.where(member, probs, 1.0 - probs)
-    raw = float(np.log(np.maximum(terms, _LOG_FLOOR)).sum())
+    raw = _log_product(sites, probs)
     if mask_mode == "paper":
         return raw
     if mask_mode == "exact":
@@ -238,21 +247,46 @@ def mask_log_mass(
 def sample_mask(
     probs: np.ndarray, s_max: int, rng: Rng, mask_mode: str = "exact"
 ) -> tuple[np.ndarray, float]:
-    """Draw a site set by independent Bernoullis, resampled into 1 <= |S| <= s_max.
+    """Draw a site set from the Bernoulli product conditioned on 1 <= |S| <= s_max.
+
+    While Z(p) >= REJECTION_MIN_Z the draw is by rejection: whole Bernoulli
+    vectors until one fits, at most 1 / REJECTION_MIN_Z expected attempts.
+    Below that the same law is drawn directly (conditional-Bernoulli
+    sampling, Chen, Dempster & Liu 1994): |S| from the truncated size
+    distribution, then sites from the last to the first, site i taken with
+    probability p_i P(k-1 among sites < i) / P(k among sites <= i) while k
+    remain to place. Raises MaskSamplingError only when Z(p) = 0.
 
     Returns the sorted site indices and their log mass under ``mask_mode``.
     """
+    if mask_mode not in MASK_MODES:
+        raise ValueError(f"unknown mask_mode {mask_mode!r}")
     probs = np.asarray(probs, dtype=np.float64)
-    for _ in range(MAX_MASK_ATTEMPTS):
-        draws = rng.bernoulli(probs)
-        size = int(draws.sum())
-        if 1 <= size <= s_max:
-            sites = np.flatnonzero(draws)
-            return sites, mask_log_mass(sites, probs, s_max, mask_mode)
-    raise MaskSamplingError(
-        f"no mask with 1 <= |S| <= {s_max} in {MAX_MASK_ATTEMPTS} attempts "
-        f"(sum p = {probs.sum():.3g})"
-    )
+    table, z = _size_table(probs, s_max)
+    if z >= REJECTION_MIN_Z:
+        while True:
+            draws = rng.bernoulli(probs)
+            if 1 <= int(draws.sum()) <= s_max:
+                sites = np.flatnonzero(draws)
+                break
+    elif z > 0.0:
+        k = rng.categorical(table[-1][1:]) + 1
+        picked = []
+        plist = probs.tolist()
+        for i in range(probs.size - 1, -1, -1):
+            if rng.uniform() * table[i + 1][k] < plist[i] * table[i][k - 1]:
+                picked.append(i)
+                k -= 1
+                if k == 0:
+                    break
+        sites = np.array(picked[::-1], dtype=np.int64)
+    else:
+        raise MaskSamplingError(
+            f"no mask with 1 <= |S| <= {s_max} has positive probability "
+            f"(sum p = {probs.sum():.3g})"
+        )
+    raw = _log_product(sites, probs)
+    return sites, raw if mask_mode == "paper" else raw - float(np.log(z))
 
 
 @dataclass

@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import rankdata
 
 from .core import Rng, cross_entropy, js_divergence, kl_divergence, one_hot
 from .energy import EnergyModel
@@ -33,14 +31,35 @@ K_VARIANTS_DEFAULT = 256
 K_MC_DEFAULT = 8
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    # 1-based ranks, tied values sharing the mean of their ranks; NaN
+    # anywhere makes every rank NaN
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _logsumexp(terms) -> float:
+    """log sum exp(terms) of finite terms, shifted by the largest."""
+    a = np.asarray(terms, dtype=np.float64)
+    top = a.max()
+    return float(top + np.log(np.exp(a - top).sum()))
+
+
 def spearman(a, b) -> float | None:
     """Rank correlation with average ranks on ties; None when undefined."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("spearman needs two equal-length series of length >= 2")
-    ra = rankdata(a)
-    rb = rankdata(b)
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     sa = ra - ra.mean()
     sb = rb - rb.mean()
     denom = np.sqrt((sa * sa).sum() * (sb * sb).sum())
@@ -375,7 +394,8 @@ def enumerate_jump_flow(
     Sums, over every auxiliary realization (mask set, forward tokens,
     reference tokens) that maps one state to the other,
       exp(-beta E) * P(mask) * prod p_model(forward token) * (1/K)^|S| * alpha,
-    where P(mask) is the true resample-until-valid mask probability and
+    where P(mask) is the true mask probability (the Bernoulli product
+    conditioned on 1 <= |S| <= s_max) and
     alpha is the acceptance exactly as the sampler computes it under
     cfg.mask_mode. In ``exact`` mode forward and reverse flows agree; in
     ``paper`` mode their log ratio equals log Z(p(b)) - log Z(p(a)).
@@ -439,8 +459,8 @@ def enumerate_jump_flow(
     reverse_terms = directional_terms(e_b, e_a, p_b, p_a, log_cond_b, log_cond_a, reverse_core)
 
     return JumpFlowResult(
-        log_forward=float(logsumexp(forward_terms)),
-        log_reverse=float(logsumexp(reverse_terms)),
+        log_forward=_logsumexp(forward_terms),
+        log_reverse=_logsumexp(reverse_terms),
         reachable=True,
     )
 

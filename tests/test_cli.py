@@ -155,6 +155,45 @@ width = 8
         assert all(t.isdigit() and int(t) < 24 for t in tokens)
 
 
+class TestLongSequences:
+    # At these lengths Z(p) is far below the rejection cutoff, so every jump
+    # mask comes from the direct draw; rejection needed about 1 / Z(p)
+    # Bernoulli vectors per mask and gave up at L = 48.
+    CONFIG = """
+[run]
+seed = 1
+steps = {steps}
+
+[sampler]
+beta = 1.0
+eta = 0.1
+p_jump = 0.2
+kappa = 0.5
+
+[energy]
+kind = target-profile
+length = {length}
+vocab = 20
+ridge_scale = 2.5
+lambda = 0.1
+"""
+
+    def run_and_read_trace(self, tmp_path, length, steps):
+        cfg = write(tmp_path / "run.ini", self.CONFIG.format(length=length, steps=steps))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "trace.csv").read_text().splitlines()[2:]
+        assert len(lines) == steps
+        sizes = [int(ln.split(",")[5]) for ln in lines if ",jump," in ln]
+        assert sizes and all(1 <= size <= 3 for size in sizes)
+
+    def test_length_48_chain_completes(self, tmp_path):
+        self.run_and_read_trace(tmp_path, 48, 300)
+
+    def test_length_128_chain_completes(self, tmp_path):
+        self.run_and_read_trace(tmp_path, 128, 100)
+
+
 class TestValidate:
     CONFIG = """
 [run]
@@ -269,6 +308,16 @@ snapshot_stride = 50
         assert csv[0].startswith("# rss-version=")
         assert csv[1] == "method,threshold,designable_count,success_rate"
         assert (out / "landscape.txt").exists()
+
+    def test_landscape_comment_names_landscape_seed(self, tmp_path):
+        # the run seed (17) differs from the landscape seed (3)
+        cfg = write(tmp_path / "b.ini", self.CONFIG)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "landscape.txt").read_text().splitlines()
+        comment_seed = [ln for ln in lines if ln.startswith("# rss-version=")][0].split("seed=")[1]
+        header_seed = [ln for ln in lines if ln.startswith("seed ")][0].split()[1]
+        assert comment_seed == header_seed == "3"
 
     def test_deterministic(self, tmp_path):
         cfg = write(tmp_path / "b.ini", self.CONFIG)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import rss
 from rss.core import Rng, js_divergence, one_hot
 from rss.energy import CompositeEnergy, GaussianEnergy, PairwiseContactEnergy
 from rss.sampler import SamplerConfig, mask_normalizer, mask_probabilities
@@ -42,6 +47,19 @@ class TestSpearman:
         # scipy cross-check by construction: [1,1,2] ranks (1.5,1.5,3)
         rho = spearman([1.0, 1.0, 2.0], [5.0, 5.0, 9.0])
         assert abs(rho - 1.0) < 1e-12
+
+    def test_matches_scipy_on_tied_inputs(self):
+        gen = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(gen.integers(3, 30))
+            a = gen.integers(0, 5, n).astype(float)
+            b = gen.integers(0, 5, n).astype(float)
+            rho = spearman(a, b)
+            ref = stats.spearmanr(a, b).statistic
+            if rho is None:
+                assert np.isnan(ref)
+            else:
+                assert abs(rho - ref) < 1e-12
 
     def test_constant_series_undefined(self):
         assert spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
@@ -281,3 +299,12 @@ class TestSuite:
         assert abs(payload["mixture_js_eps0.0"]["value"]) < 1e-12
         assert payload["mixture_top1_eps0.0"]["value"] == 1.0
         assert payload["onehot_fidelity_kl"]["config"]["seed"] == 5
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rss.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, rss, rss.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
