@@ -51,7 +51,7 @@ def run_rso(logits0, energy: EnergyModel, eta: float, steps: int) -> RsoTrajecto
     if steps < 0:
         raise ValueError("steps must be >= 0")
     counting = CountingEnergy(energy)
-    state = as_logits(logits0).copy()
+    state = as_logits(logits0, energy.shape).copy()
     states = [state.copy()]
     energies = []
     diverged = False
@@ -127,31 +127,16 @@ def designable_surrogate(
 ) -> np.ndarray:
     """Unique sequences whose discrete energy falls below the threshold.
 
-    With no explicit threshold, a PlantedLandscape supplies its
-    construction-time quantile threshold (re-derived when a different
-    quantile is requested); a bare coupling energy is enumerated if
-    feasible, otherwise an explicit threshold is required.
+    With no explicit threshold, the threshold is the ``quantile`` quantile
+    of the enumerated discrete energies; a landscape too large to enumerate
+    needs an explicit threshold.
     """
-    if isinstance(landscape, PlantedLandscape):
-        energy = landscape.energy
-        if threshold is None:
-            if quantile == 0.05 and np.isfinite(landscape.designable_threshold):
-                threshold = landscape.designable_threshold
-            else:
-                threshold = float(
-                    np.quantile(enumerate_discrete_energies(energy), quantile)
-                )
-    else:
-        energy = landscape
-        if threshold is None:
-            try:
-                threshold = float(
-                    np.quantile(enumerate_discrete_energies(energy), quantile)
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    "landscape is not enumerable; pass an explicit threshold"
-                ) from exc
+    energy = landscape.energy if isinstance(landscape, PlantedLandscape) else landscape
+    if threshold is None:
+        try:
+            threshold = float(np.quantile(enumerate_discrete_energies(energy), quantile))
+        except ValueError as exc:
+            raise ValueError("landscape is not enumerable; pass an explicit threshold") from exc
     uniq = unique_sequences(seqs)
     if uniq.shape[0] == 0:
         return uniq
@@ -280,17 +265,24 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-def _method_energy(cfg: CampaignConfig, method: str) -> EnergyModel:
-    base: EnergyModel = cfg.landscape.energy
-    if cfg.ridge_scale > 0:
+def compose_energy(
+    base: EnergyModel,
+    ridge_scale: float,
+    model: MaskedSequenceModel | None,
+    lam: float,
+    tau: float,
+) -> EnergyModel:
+    """base (+ ridge Gaussian, weight 1) (+ lam * SoftPlm at tau), nested in
+    that order; a zero ridge_scale or lam leaves its term out."""
+    energy = base
+    if ridge_scale > 0:
         # bounded coupling energies make exp(-beta E) improper over logit
-        # space; a weak quadratic keeps the target normalizable for every
-        # method without touching the discrete landscape used for scoring
-        ridge = GaussianEnergy(np.zeros(base.shape), cfg.ridge_scale)
-        base = CompositeEnergy(base, ridge, 1.0)
-    if method == "rso-noplm" or cfg.lam == 0.0:
-        return base
-    return CompositeEnergy(base, SoftPlmEnergy(cfg.model, cfg.sampler.tau), cfg.lam)
+        # space; a weak quadratic keeps the target normalizable without
+        # touching the discrete landscape used for scoring
+        energy = CompositeEnergy(energy, GaussianEnergy(np.zeros(base.shape), ridge_scale), 1.0)
+    if lam != 0.0:
+        energy = CompositeEnergy(energy, SoftPlmEnergy(model, tau), lam)
+    return energy
 
 
 def _candidate_indices(total_steps: int, stride: int) -> list[int]:
@@ -308,7 +300,10 @@ def _run_one_seed(cfg: CampaignConfig, method: str, seed_index: int):
     if cfg.step_budget == 0:
         return argmax_decode(logits0)[None, :], 0
 
-    energy = _method_energy(cfg, method)
+    energy = compose_energy(
+        cfg.landscape.energy, cfg.ridge_scale, cfg.model,
+        0.0 if method == "rso-noplm" else cfg.lam, cfg.sampler.tau,
+    )
     steps = cfg.step_budget - 1
     indices = _candidate_indices(steps, cfg.snapshot_stride)
 

@@ -12,30 +12,26 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import __version__
 from .core import Rng, argmax_decode, decode_to_letters
 from .energy import (
-    CompositeEnergy,
     GaussianEnergy,
     TargetProfileEnergy,
     load_landscape,
     planted_landscape,
     save_landscape,
 )
-from .bench import CampaignConfig, run_campaign
+from .bench import CampaignConfig, compose_energy, run_campaign
 from .sampler import SamplerConfig, run_chain, save_snapshots
-from .softplm import (
-    MaskedSequenceModel,
-    SoftPlmEnergy,
-    calibrate_temperature,
-    load_model,
-)
+from .softplm import MaskedSequenceModel, calibrate_temperature, load_model
 from .textio import open_text, write_text
 from .verify import (
     K_MC_DEFAULT,
@@ -73,18 +69,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# [sampler] holds SamplerConfig's fields in their order, with their types
+# and defaults, less steps, which `rss run` reads from [run]
+_SAMPLER_TYPES = typing.get_type_hints(SamplerConfig)
 _SAMPLER_SCHEMA = {
-    "beta": (float, REQUIRED),
-    "eta": (float, REQUIRED),
-    "p_jump": (float, 0.1),
-    "kappa": (float, 0.5),
-    "gamma": (float, 2.0),
-    "tau": (float, 1.0),
-    "epsilon": (float, 1e-8),
-    "s_max": (int, 3),
-    "mask_mode": (str, "exact"),
-    "adapt_eta": (bool, False),
-    "burn_in": (int, 0),
+    f.name: (_SAMPLER_TYPES[f.name],
+             REQUIRED if f.default is dataclasses.MISSING else f.default)
+    for f in dataclasses.fields(SamplerConfig)
+    if f.name != "steps"
 }
 
 _MODEL_SCHEMA = {
@@ -281,14 +273,8 @@ def cmd_run(values: dict, out: str) -> int:
     base, _ = _build_base_energy(values["energy"], out)
     # the jump kernel needs a model even when the prior weight is zero
     model = _build_model(values["model"], length=base.shape[0], vocab=base.shape[1])
-    energy = base
-    ridge_scale = values["energy"]["ridge_scale"]
-    if ridge_scale > 0:
-        ridge = GaussianEnergy(np.zeros(base.shape), ridge_scale)
-        energy = CompositeEnergy(energy, ridge, 1.0)
-    lam = values["energy"]["lambda"]
-    if lam > 0:
-        energy = CompositeEnergy(energy, SoftPlmEnergy(model, sampler_cfg.tau), lam)
+    energy = compose_energy(base, values["energy"]["ridge_scale"], model,
+                            values["energy"]["lambda"], sampler_cfg.tau)
 
     rng = Rng(seed)
     shape = energy.shape

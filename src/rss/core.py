@@ -68,17 +68,31 @@ class Rng:
         return min(int(self.uniform() * n), n - 1)
 
 
-def as_logits(logits) -> np.ndarray:
-    """Validate and return a float64 (L, K) logit matrix, L >= 1, K >= 2."""
+def as_logits(logits, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Validate and return a finite float64 (L, K) logit matrix, L >= 1, K >= 2.
+
+    This is the check at every point where logits enter the program; with
+    ``shape`` (an energy's shape) the matrix must also have that shape.
+    """
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"logit matrix must be 2-D, got shape {arr.shape}")
     length, vocab = arr.shape
     if length < 1 or vocab < 2:
         raise ValueError(f"logit matrix needs L >= 1 and K >= 2, got {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"logits shape {arr.shape} does not match energy shape {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("logit matrix contains non-finite entries")
     return arr
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Unchecked per-row softmax with max subtraction, for logits the
+    program has already checked or built itself."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 def row_marginals(logits) -> np.ndarray:
@@ -87,18 +101,7 @@ def row_marginals(logits) -> np.ndarray:
     Each output row is a point on the (K-1)-simplex; rows sum to 1 within
     1e-12 and the result is invariant to adding a constant to any row.
     """
-    arr = as_logits(logits)
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
-def softmax(vec) -> np.ndarray:
-    """Stable softmax of a single vector."""
-    v = np.asarray(vec, dtype=np.float64)
-    shifted = v - v.max()
-    expd = np.exp(shifted)
-    return expd / expd.sum()
+    return softmax_rows(as_logits(logits))
 
 
 def argmax_decode(logits) -> np.ndarray:
@@ -149,18 +152,21 @@ def entropy(p) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats; q floored at 1e-300, p-zero terms contribute 0."""
-    p, q = _check_simplex_pair(p, q)
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
     nz = p > 0
     return float((p[nz] * (np.log(p[nz]) - np.log(np.maximum(q[nz], LOG_FLOOR)))).sum())
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q) in nats; q floored at 1e-300, p-zero terms contribute 0."""
+    return _kl(*_check_simplex_pair(p, q))
 
 
 def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence (natural log, midpoint mixture); in [0, ln 2]."""
     p, q = _check_simplex_pair(p, q)
     mid = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, mid) + 0.5 * kl_divergence(q, mid)
+    return 0.5 * _kl(p, mid) + 0.5 * _kl(q, mid)
 
 
 def finite_diff_gradient(fn, logits, h: float = 1e-5) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, as_logits, hamming_distance, row_marginals
+from .core import Rng, hamming_distance, softmax_rows
 from .textio import read_blocks, write_blocks
 
 
@@ -24,6 +24,11 @@ class EnergyModel(ABC):
     ``evaluate`` must be deterministic, side-effect free, and finite for all
     finite inputs; the gradient is validated against central differences in
     the test suite (rel. error < 1e-5 at seeded random points).
+
+    ``evaluate`` takes a finite float64 array of ``self.shape`` and does not
+    check it: the caller does, where the logits enter the program
+    (``core.as_logits(logits, energy.shape)`` in ``ChainState.initialize``,
+    ``run_rso`` and ``enumerate_jump_flow``).
     """
 
     @property
@@ -34,12 +39,6 @@ class EnergyModel(ABC):
     @abstractmethod
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
         """Return (energy, gradient) at the given logit matrix."""
-
-    def _check_dims(self, logits: np.ndarray, name: str = "energy"):
-        if logits.shape != self.shape:
-            raise ValueError(
-                f"{name}: logits shape {logits.shape} does not match model shape {self.shape}"
-            )
 
 
 def _softmax_row_backprop(marginals: np.ndarray, dE_dq: np.ndarray) -> np.ndarray:
@@ -71,11 +70,6 @@ class CompositeEnergy(EnergyModel):
         return self.structural.shape
 
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = as_logits(logits)
-        if logits.shape != self.structural.shape:
-            raise ValueError(
-                f"structural component expects {self.structural.shape}, got {logits.shape}"
-            )
         e_s, g_s = self.structural.evaluate(logits)
         e_p, g_p = self.prior.evaluate(logits)
         return e_s + self.lam * e_p, g_s + self.lam * g_p
@@ -103,12 +97,12 @@ class TargetProfileEnergy(EnergyModel):
         return self.targets.shape
 
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = as_logits(logits)
-        self._check_dims(logits, "TargetProfileEnergy")
-        q = row_marginals(logits)
-        # log q via the shifted logits avoids log(0) for saturated rows
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        expd = np.exp(shifted)
+        norm = expd.sum(axis=1, keepdims=True)
+        q = expd / norm
+        # log q via the shifted logits avoids log(0) for saturated rows
+        log_q = shifted - np.log(norm)
         value = float(-(self.targets * log_q).sum())
         return value, q - self.targets
 
@@ -158,9 +152,7 @@ class PairwiseContactEnergy(EnergyModel):
         ]
 
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = as_logits(logits)
-        self._check_dims(logits, "PairwiseContactEnergy")
-        q = row_marginals(logits)
+        q = softmax_rows(logits)
         value = float((q * self.fields).sum())
         dq = self.fields.copy()
         if self.couplings.shape[0]:
@@ -226,8 +218,6 @@ class GaussianEnergy(EnergyModel):
         return self.center.shape
 
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = as_logits(logits)
-        self._check_dims(logits, "GaussianEnergy")
         diff = logits - self.center
         var = self.scale * self.scale
         return float((diff * diff).sum()) / (2.0 * var), diff / var
@@ -298,9 +288,8 @@ class PlantedLandscape:
     modes: np.ndarray  # (M, L) planted token sequences
     seed: int
     depth: float
-    # enumeration facts frozen at construction time
+    # enumeration fact frozen at construction time
     median_energy: float = field(default=float("nan"))
-    designable_threshold: float = field(default=float("nan"))
 
 
 def _draw_separated_sequences(length, vocab, n_modes, rng: Rng, attempts=10_000):
@@ -405,7 +394,6 @@ def _verify_planted(landscape: PlantedLandscape, designable_quantile: float) -> 
                     return False
 
     landscape.median_energy = median
-    landscape.designable_threshold = threshold
     return True
 
 

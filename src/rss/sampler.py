@@ -95,7 +95,7 @@ class ChainState:
 
     @classmethod
     def initialize(cls, logits, energy_model: EnergyModel) -> "ChainState":
-        logits = as_logits(logits)
+        logits = as_logits(logits, energy_model.shape)
         value, grad = energy_model.evaluate(logits)
         return cls(logits=logits, energy=value, gradient=grad, step=0)
 
@@ -230,18 +230,17 @@ def mask_log_mass(
 
     ``paper``: raw product prod p_i^{i in S} (1-p_i)^{i not in S}.
     ``exact``: raw product minus log Z(p), the probability of S under the
-    Bernoulli product conditioned on 1 <= |S| <= s_max.
+    Bernoulli product conditioned on 1 <= |S| <= s_max. ``SamplerConfig``
+    is where a mode name is checked.
     """
     probs = np.asarray(probs, dtype=np.float64)
     raw = _log_product(sites, probs)
     if mask_mode == "paper":
         return raw
-    if mask_mode == "exact":
-        z = mask_normalizer(probs, s_max)
-        if z <= 0.0:
-            raise ValueError("mask normalizer Z(p) is zero; no valid mask exists")
-        return raw - float(np.log(z))
-    raise ValueError(f"unknown mask_mode {mask_mode!r}")
+    z = mask_normalizer(probs, s_max)
+    if z <= 0.0:
+        raise ValueError("mask normalizer Z(p) is zero; no valid mask exists")
+    return raw - float(np.log(z))
 
 
 def sample_mask(
@@ -257,10 +256,9 @@ def sample_mask(
     probability p_i P(k-1 among sites < i) / P(k among sites <= i) while k
     remain to place. Raises MaskSamplingError only when Z(p) = 0.
 
-    Returns the sorted site indices and their log mass under ``mask_mode``.
+    Returns the sorted site indices and their log mass under ``mask_mode``
+    (see ``mask_log_mass``).
     """
-    if mask_mode not in MASK_MODES:
-        raise ValueError(f"unknown mask_mode {mask_mode!r}")
     probs = np.asarray(probs, dtype=np.float64)
     table, z = _size_table(probs, s_max)
     if z >= REJECTION_MIN_Z:
@@ -300,11 +298,6 @@ class JumpProposal:
     log_mass_forward: float
     log_plm_forward: float
     finite: bool = True
-
-    @property
-    def log_proposal_forward(self) -> float:
-        # uniform reference-token factor omitted: it cancels in the ratio
-        return self.log_mass_forward + self.log_plm_forward
 
 
 def jump_propose(

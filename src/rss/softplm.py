@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Rng, as_logits, one_hot, row_marginals
+from .core import Rng, one_hot, row_marginals, softmax_rows
 from .energy import EnergyModel
 from .textio import read_blocks, write_blocks
 
@@ -150,7 +150,9 @@ class MaskedSequenceModel:
         return self.conditionals(row_marginals(logits), tau)
 
     def log_conditionals_from_logits(self, logits, tau: float) -> np.ndarray:
-        return self.log_conditionals(row_marginals(logits), tau)
+        """log ``conditionals`` on the softmax rows of logits the program
+        has already checked (a chain state or proposal)."""
+        return self.log_conditionals(softmax_rows(logits), tau)
 
 
 def _tempered_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -186,12 +188,10 @@ class SoftPlmEnergy(EnergyModel):
         return self.model.shape
 
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        logits = as_logits(logits)
-        self._check_dims(logits, "SoftPlmEnergy")
         model, tau = self.model, self.tau
         length = logits.shape[0]
 
-        q = row_marginals(logits)
+        q = softmax_rows(logits)
         raw, hidden = model._forward(q)
         log_p = _tempered_log_softmax(raw, tau)
         p = np.exp(log_p)

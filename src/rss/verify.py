@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, cross_entropy, js_divergence, kl_divergence, one_hot
+from .core import Rng, as_logits, cross_entropy, js_divergence, kl_divergence, one_hot
 from .energy import EnergyModel
 from .sampler import SamplerConfig, mask_log_mass, mask_probabilities
 from .softplm import MaskedSequenceModel
@@ -403,8 +403,8 @@ def enumerate_jump_flow(
     Only small instances are supported (the realization count grows as
     K^|identity sites|); intended for L <= 4, K <= 4, s_max <= 2.
     """
-    a = np.asarray(logits_a, dtype=np.float64)
-    b = np.asarray(logits_b, dtype=np.float64)
+    a = as_logits(logits_a, energy.shape)
+    b = as_logits(logits_b, energy.shape)
     length, vocab = a.shape
     tol = 1e-9 * max(1.0, cfg.gamma)
 

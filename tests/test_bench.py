@@ -132,6 +132,16 @@ class TestDesignableSurrogate:
         kept = designable_surrogate(landscape.modes, landscape.energy, quantile=0.05)
         assert kept.shape[0] == landscape.modes.shape[0]
 
+    def test_default_quantile_ignores_construction_quantile(self):
+        # a landscape built with a 30% designable check is still scored at
+        # the 5% quantile asked for
+        built = planted_landscape(5, 4, 2, 2.0, Rng(3), designable_quantile=0.3)
+        energies = enumerate_discrete_energies(built.energy)
+        all_seqs = np.array(np.unravel_index(np.arange(4**5), (4,) * 5)).T
+        kept = designable_surrogate(all_seqs, built)
+        assert kept.shape[0] == int((energies < np.quantile(energies, 0.05)).sum())
+        assert kept.shape[0] == 52
+
     def test_non_enumerable_energy_needs_explicit_threshold(self):
         from rss.energy import PairwiseContactEnergy
 

@@ -129,6 +129,20 @@ class TestDivergences:
             assert abs(a - b) < 1e-14
             assert 0.0 <= a <= math.log(2.0) + 1e-15
 
+    def test_js_bitwise_equals_nested_kl(self):
+        # the single-check JS must give the same bits as the old form, which
+        # called kl_divergence twice
+        rng = Rng(17)
+        for k in (2, 5, 20):
+            for _ in range(200):
+                p = random_simplex(rng, k)
+                q = random_simplex(rng, k)
+                p[rng.integer(k)] = 0.0
+                p /= p.sum()
+                mid = 0.5 * (p + q)
+                old = 0.5 * kl_divergence(p, mid) + 0.5 * kl_divergence(q, mid)
+                assert js_divergence(p, q) == old
+
     def test_invalid_simplex_rejected(self):
         with pytest.raises(ValueError):
             kl_divergence(np.array([0.7, 0.7]), np.array([0.5, 0.5]))

@@ -16,6 +16,8 @@ from rss.energy import (
     save_landscape,
     sequence_index,
 )
+from rss.bench import run_rso
+from rss.sampler import ChainState
 from rss.softplm import MaskedSequenceModel, SoftPlmEnergy
 
 L, K = 5, 4
@@ -118,13 +120,36 @@ class TestComposite:
         assert abs(e - (e_s + lam1 * e_1 + lam2 * e_2)) < 1e-12
 
     def test_dim_mismatch_names_component(self, models):
+        # logits are checked where they enter the program, not in evaluate
         small = GaussianEnergy(np.zeros((2, 2)), 1.0)
-        with pytest.raises(ValueError, match="structural"):
-            CompositeEnergy(models["pairwise"], models["gaussian"], 1.0).evaluate(
-                np.zeros((2, 2))
-            )
+        comp = CompositeEnergy(models["pairwise"], models["gaussian"], 1.0)
+        nan_logits = np.zeros((L, K))
+        nan_logits[1, 2] = np.nan
+        for enter in (lambda x: ChainState.initialize(x, comp),
+                      lambda x: run_rso(x, comp, 0.1, 3)):
+            with pytest.raises(ValueError, match=r"\(2, 2\).*\(5, 4\)"):
+                enter(np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="non-finite"):
+                enter(nan_logits)
         with pytest.raises(ValueError, match="shapes differ"):
             CompositeEnergy(models["pairwise"], small, 1.0)
+
+
+class TestTargetProfile:
+    def test_bitwise_equals_two_exp_formula(self):
+        # the old evaluate: q from row_marginals, log q from a second exp
+        rng = Rng(8)
+        for scale in (0.1, 1.0, 30.0):
+            targets = row_marginals(rng.normal((L, K)))
+            energy = TargetProfileEnergy(targets)
+            for _ in range(50):
+                logits = scale * rng.normal((L, K))
+                q = row_marginals(logits)
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                log_q = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+                value, grad = energy.evaluate(logits)
+                assert value == float(-(targets * log_q).sum())
+                assert np.array_equal(grad, q - targets)
 
 
 class TestPairwise:

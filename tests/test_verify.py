@@ -275,6 +275,12 @@ class TestEnumerateJumpFlow:
         assert not res.reachable
         assert res.forward == 0.0 and res.reverse == 0.0
 
+    def test_rejects_logits_of_another_shape(self):
+        energy, model, rng = build_jump_instance(88)
+        cfg = SamplerConfig(beta=1.0, eta=0.1, s_max=2)
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 3\)"):
+            enumerate_jump_flow(energy, model, cfg, rng.normal((2, 3)), rng.normal((3, 3)))
+
 
 class TestSuite:
     def test_families_present_and_deterministic(self):
