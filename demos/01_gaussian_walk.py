@@ -31,10 +31,10 @@ post = np.stack([s for (t, s) in summary.snapshots if t > cfg.burn_in])
 print(f"steps run                : {summary.steps}")
 print(f"energy evaluations       : {summary.energy_evaluations}")
 print(f"adapted step size        : {summary.eta_final:.4f}")
-print(f"post-burn-in acceptance  : {summary.post_burn_in_walk_acceptance:.3f} (target 0.40-0.60)")
+print(f"post-burn-in acceptance  : {summary.acceptance('walk', post_burn_in=True):.3f} (target 0.40-0.60)")
 print(f"worst |mean - center|    : {np.max(np.abs(post.mean(axis=0) - center)):.4f}")
 print(f"worst |var/target - 1|   : {np.max(np.abs(post.var(axis=0) * beta / scale**2 - 1)):.4f}")
 
-diag = ess_and_autocorr(summary.post_burn_in_energies(cfg.burn_in))
+diag = ess_and_autocorr(summary.post_burn_in_energies())
 print(f"energy-trace ESS         : {diag.ess:.0f} of {cfg.steps - cfg.burn_in} "
       f"(integrated autocorr time {diag.tau_int:.1f})")

@@ -49,9 +49,9 @@ def explore(p_jump, seed):
     visited = int(np.count_nonzero(counts[:-1]))
     print(f"{label}: mode visits {counts[:-1].tolist()} other {counts[-1]} "
           f"| distinct modes visited {visited}/{len(landscape.modes)} "
-          f"| walk acc {summary.post_burn_in_walk_acceptance:.2f}", end="")
+          f"| walk acc {summary.acceptance('walk', post_burn_in=True):.2f}", end="")
     if p_jump > 0:
-        print(f" jump acc {summary.post_burn_in_jump_acceptance:.2f}")
+        print(f" jump acc {summary.acceptance('jump', post_burn_in=True):.2f}")
     else:
         print()
 

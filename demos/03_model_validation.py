@@ -13,7 +13,7 @@ deliberately re-scaled reference.
 import numpy as np
 
 from rss import MaskedSequenceModel, Rng, calibrate_temperature
-from rss.verify import random_sequences, reports_to_json, run_validation_suite
+from rss.verify import random_sequences, run_validation_suite
 
 model = MaskedSequenceModel.random(length=32, vocab=20, width=16, rng=Rng(8002))
 
@@ -38,7 +38,3 @@ tau_self = calibrate_temperature(model, model, contexts)
 tau_half = calibrate_temperature(model, model.scaled(0.5), contexts)
 print(f"\ncalibrated tau against itself          : {tau_self:.4f} (expect 1)")
 print(f"calibrated tau against half-sharp ref  : {tau_half:.4f} (expect 2)")
-
-with open("validation_demo.json", "w", encoding="utf-8") as fh:
-    fh.write(reports_to_json(reports))
-print("\nfull report written to validation_demo.json")

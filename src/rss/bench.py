@@ -245,6 +245,8 @@ class CampaignReport:
                     "pooled_clusters": res.pooled_clusters,
                     "total_energy_evals": res.total_energy_evals,
                     "failed_seeds": res.failed_seeds,
+                    # only where a seed failed, so clean campaigns keep their bytes
+                    **({"failure_reasons": res.failure_reasons} if res.failed_seeds else {}),
                     "curve": [
                         {"threshold": t, "count": c, "rate": r}
                         for t, c, r in res.curve

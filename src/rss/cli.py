@@ -299,25 +299,23 @@ def cmd_run(values: dict, out: str) -> int:
         seq_lines.append(f"{idx}\t{text}\n")
     write_text(os.path.join(out, "sequences.txt"), "".join(seq_lines), [_header(seed)])
 
-    burn = sampler_cfg.burn_in
-    post = summary.post_burn_in_energies(min(burn, summary.steps))
+    post = summary.post_burn_in_energies()
+    min_step = int(np.argmin(summary.energies))   # the first minimum
     payload = {
         "_meta": _meta(seed),
         "steps": summary.steps,
-        "walk_proposals": summary.walk_proposals,
-        "walk_accepts": summary.walk_accepts,
-        "walk_acceptance": None if not summary.walk_proposals else summary.walk_acceptance,
-        "jump_proposals": summary.jump_proposals,
-        "jump_accepts": summary.jump_accepts,
-        "jump_acceptance": None if not summary.jump_proposals else summary.jump_acceptance,
-        "min_energy": summary.min_energy,
-        "min_energy_step": summary.min_energy_step,
+        "min_energy": float(summary.energies[min_step]),
+        "min_energy_step": min_step,
         "energy_mean_post_burn_in": float(post.mean()) if post.size else None,
         "energy_std_post_burn_in": float(post.std()) if post.size else None,
         "eta_final": summary.eta_final,
         "energy_evaluations": summary.energy_evaluations,
         "snapshot_count": len(summary.snapshots),
     }
+    for kind in ("walk", "jump"):
+        proposals, accepts = summary.moves(kind)
+        payload.update({f"{kind}_proposals": proposals, f"{kind}_accepts": accepts,
+                        f"{kind}_acceptance": summary.acceptance(kind)})
     write_text(os.path.join(out, "summary.json"), json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -442,12 +442,3 @@ def load_landscape(path) -> PlantedLandscape:
         raise LandscapeGenerationError(f"loaded landscape failed verification: {path}")
     return landscape
 
-
-def boltzmann_mode_mass(landscape: PlantedLandscape, beta: float) -> float:
-    """Fraction of discrete Boltzmann mass exp(-beta E) held by the modes."""
-    energies = enumerate_discrete_energies(landscape.energy)
-    log_w = -beta * energies
-    log_w -= log_w.max()
-    weights = np.exp(log_w)
-    idx = [sequence_index(m, landscape.energy.shape[1]) for m in landscape.modes]
-    return float(weights[idx].sum() / weights.sum())

@@ -7,9 +7,9 @@ kernels carry exact Metropolis-Hastings corrections, so the chain targets
 pi(logits) proportional to exp(-beta * E(logits)).
 
 Acceptance probabilities are computed entirely in log space; exp is taken
-only at the final Bernoulli draw. A rejected step leaves the state
-bit-identical, and the cached (energy, gradient) pair always matches a
-fresh evaluation of the current logits.
+only at the final Bernoulli draw. A rejected step returns the same state
+object, and the cached (energy, gradient) pair always matches a fresh
+evaluation of the current logits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, as_logits
+from .core import LOG_FLOOR, Rng, as_logits
 from .energy import EnergyModel, CountingEnergy
 from .softplm import MaskedSequenceModel
 from .textio import read_blocks, write_blocks
@@ -28,7 +28,6 @@ MASK_MODES = ("paper", "exact")
 # sample_mask draws by rejection while Z(p) is at least this (at most 8
 # expected attempts per mask) and directly below it
 REJECTION_MIN_Z = 0.125
-_LOG_FLOOR = 1e-300
 
 
 class MaskSamplingError(RuntimeError):
@@ -91,30 +90,22 @@ class ChainState:
     logits: np.ndarray
     energy: float
     gradient: np.ndarray
-    step: int = 0
 
     @classmethod
     def initialize(cls, logits, energy_model: EnergyModel) -> "ChainState":
         logits = as_logits(logits, energy_model.shape)
         value, grad = energy_model.evaluate(logits)
-        return cls(logits=logits, energy=value, gradient=grad, step=0)
+        return cls(logits=logits, energy=value, gradient=grad)
 
 
 @dataclass
 class MoveRecord:
-    """Audit trail of one step, sufficient to replay the acceptance test."""
+    """What one step did: its trace row less the step number and the energy."""
 
     kind: str                       # "walk" or "jump"
-    proposed_energy: float
     log_alpha: float                # min(0, log MH ratio); -inf for vetoed moves
     accepted: bool
-    mask_sites: np.ndarray | None = None
-    forward_tokens: np.ndarray | None = None
-    reference_tokens: np.ndarray | None = None
-
-    @property
-    def mask_size(self) -> int:
-        return 0 if self.mask_sites is None else int(len(self.mask_sites))
+    mask_size: int                  # sites swapped by a jump; 0 for a walk
 
 
 # --- walk kernel (MALA) -----------------------------------------------------
@@ -220,7 +211,7 @@ def _log_product(sites: np.ndarray, probs: np.ndarray) -> float:
     member = np.zeros(probs.size, dtype=bool)
     member[np.asarray(sites, dtype=np.int64)] = True
     terms = np.where(member, probs, 1.0 - probs)
-    return float(np.log(np.maximum(terms, _LOG_FLOOR)).sum())
+    return float(np.log(np.maximum(terms, LOG_FLOOR)).sum())
 
 
 def mask_log_mass(
@@ -382,77 +373,60 @@ def step(
     rng: Rng,
 ) -> tuple[ChainState, MoveRecord]:
     """One mixture-kernel transition. Draw order: kernel coin, proposal
-    draws, acceptance uniform."""
-    use_walk = rng.uniform() > cfg.p_jump
-    if use_walk:
+    draws, acceptance uniform. A rejection returns ``state`` itself."""
+    if rng.uniform() > cfg.p_jump:
         proposal = walk_propose(state, cfg, energy, rng)
         log_alpha = walk_accept(state, proposal, cfg)
-        record = MoveRecord("walk", proposal.energy, log_alpha, False)
+        kind, mask_size = "walk", 0
     else:
         if model is None:
             raise ValueError("jump kernel requires a masked sequence model")
         proposal = jump_propose(state, cfg, energy, model, rng)
         log_alpha = jump_accept(state, proposal, cfg, model)
-        record = MoveRecord(
-            "jump", proposal.energy, log_alpha, False,
-            mask_sites=proposal.sites,
-            forward_tokens=proposal.forward_tokens,
-            reference_tokens=proposal.reference_tokens,
-        )
+        kind, mask_size = "jump", int(proposal.sites.size)
 
-    accepted = rng.uniform() < np.exp(log_alpha)
-    record.accepted = bool(accepted)
+    accepted = bool(rng.uniform() < np.exp(log_alpha))
     if accepted:
-        new_state = ChainState(
-            proposal.logits, proposal.energy, proposal.gradient, state.step + 1
-        )
-    else:
-        new_state = ChainState(state.logits, state.energy, state.gradient, state.step + 1)
-    return new_state, record
+        state = ChainState(proposal.logits, proposal.energy, proposal.gradient)
+    return state, MoveRecord(kind, log_alpha, accepted, mask_size)
 
 
 @dataclass
 class ChainSummary:
+    """A finished chain: its per-step record and what cannot be derived from it.
+
+    Step t + 1 of the run is index t of ``jumped`` and ``accepted`` and index
+    t + 1 of ``energies`` (index 0 is the initial state). Acceptance counts,
+    the energy minimum and the post-burn-in window are derived from these
+    arrays, not kept alongside them.
+    """
+
     steps: int
-    walk_proposals: int
-    walk_accepts: int
-    jump_proposals: int
-    jump_accepts: int
-    post_walk_proposals: int        # counted after cfg.burn_in steps
-    post_walk_accepts: int
-    post_jump_proposals: int
-    post_jump_accepts: int
-    min_energy: float
-    min_energy_step: int
-    min_energy_logits: np.ndarray
+    burn_in: int
+    jumped: np.ndarray              # bool per step: the jump kernel was used
+    accepted: np.ndarray            # bool per step: the proposal was accepted
     final_state: ChainState
     energies: np.ndarray            # energy after each step, length steps + 1
     snapshots: list                 # (step, logits) at the thinning stride
     eta_final: float
     energy_evaluations: int
 
-    @property
-    def walk_acceptance(self) -> float:
-        return self.walk_accepts / self.walk_proposals if self.walk_proposals else float("nan")
+    def moves(self, kind: str, post_burn_in: bool = False) -> tuple[int, int]:
+        """(proposals, accepts) of the "walk" or "jump" kernel over the whole
+        run, or over the steps after ``burn_in`` only."""
+        if kind not in ("walk", "jump"):
+            raise ValueError(f"move kind must be 'walk' or 'jump', got {kind!r}")
+        start = self.burn_in if post_burn_in else 0
+        chosen = self.jumped[start:] == (kind == "jump")
+        return int(chosen.sum()), int(self.accepted[start:][chosen].sum())
 
-    @property
-    def jump_acceptance(self) -> float:
-        return self.jump_accepts / self.jump_proposals if self.jump_proposals else float("nan")
+    def acceptance(self, kind: str, post_burn_in: bool = False) -> float | None:
+        """accepts / proposals from ``moves``; None when there were no proposals."""
+        proposals, accepts = self.moves(kind, post_burn_in)
+        return accepts / proposals if proposals else None
 
-    @property
-    def post_burn_in_walk_acceptance(self) -> float:
-        if not self.post_walk_proposals:
-            return float("nan")
-        return self.post_walk_accepts / self.post_walk_proposals
-
-    @property
-    def post_burn_in_jump_acceptance(self) -> float:
-        if not self.post_jump_proposals:
-            return float("nan")
-        return self.post_jump_accepts / self.post_jump_proposals
-
-    def post_burn_in_energies(self, burn_in: int) -> np.ndarray:
-        return self.energies[burn_in + 1 :]
+    def post_burn_in_energies(self) -> np.ndarray:
+        return self.energies[self.burn_in + 1 :]
 
 
 TRACE_HEADER = "step,kind,energy,log_alpha,accepted,mask_size"
@@ -466,19 +440,17 @@ def run_chain(
     rng: Rng | None = None,
     trace=None,
     snapshot_stride: int = 50,
-    debug_check_interval: int = 0,
 ) -> ChainSummary:
     """Run cfg.steps mixture-kernel transitions from logits0.
 
     If cfg.adapt_eta, the walk step size is scaled by 1.02 after each
     accepted walk and 0.98 after each rejected walk, but only during the
     first cfg.burn_in steps; eta is frozen afterwards so the post-burn-in
-    kernel is exactly stationary. Snapshots of the logits are kept every
-    ``snapshot_stride`` steps. ``trace`` is an open text handle, or None;
-    rows are step,kind,energy,log_alpha,accepted,mask_size with the energy
-    of the state after the move. ``debug_check_interval`` > 0 re-evaluates
-    the cached (energy, gradient) every that-many steps and raises on
-    mismatch.
+    kernel is exactly stationary. Each step's kernel, outcome and resulting
+    energy go into the summary's per-step arrays. Snapshots of the logits
+    are kept every ``snapshot_stride`` steps. ``trace`` is an open text
+    handle, or None; rows are step,kind,energy,log_alpha,accepted,mask_size
+    with the energy of the state after the move.
     """
     if rng is None:
         rng = Rng(0)
@@ -491,39 +463,20 @@ def run_chain(
     if trace is not None:
         trace.write(TRACE_HEADER + "\n")
 
-    walk_proposals = walk_accepts = jump_proposals = jump_accepts = 0
-    post_walk_proposals = post_walk_accepts = 0
-    post_jump_proposals = post_jump_accepts = 0
+    jumped = np.zeros(local_cfg.steps, dtype=bool)
+    accepted = np.zeros(local_cfg.steps, dtype=bool)
     energies = np.empty(local_cfg.steps + 1, dtype=np.float64)
     energies[0] = state.energy
-    min_energy = state.energy
-    min_step = 0
-    min_logits = state.logits.copy()
     snapshots = []
 
     try:
         for t in range(local_cfg.steps):
             state, record = step(state, local_cfg, counting, model, rng)
-            if record.kind == "walk":
-                walk_proposals += 1
-                walk_accepts += record.accepted
-                if t >= local_cfg.burn_in:
-                    post_walk_proposals += 1
-                    post_walk_accepts += record.accepted
-                if local_cfg.adapt_eta and t < local_cfg.burn_in:
-                    local_cfg.eta *= 1.02 if record.accepted else 0.98
-            else:
-                jump_proposals += 1
-                jump_accepts += record.accepted
-                if t >= local_cfg.burn_in:
-                    post_jump_proposals += 1
-                    post_jump_accepts += record.accepted
-
+            jumped[t] = record.kind == "jump"
+            accepted[t] = record.accepted
+            if local_cfg.adapt_eta and t < local_cfg.burn_in and record.kind == "walk":
+                local_cfg.eta *= 1.02 if record.accepted else 0.98
             energies[t + 1] = state.energy
-            if state.energy < min_energy:
-                min_energy = state.energy
-                min_step = t + 1
-                min_logits = state.logits.copy()
             if (t + 1) % snapshot_stride == 0:
                 snapshots.append((t + 1, state.logits.copy()))
             if trace is not None:
@@ -531,29 +484,15 @@ def run_chain(
                     f"{t + 1},{record.kind},{state.energy!r},"
                     f"{record.log_alpha!r},{int(record.accepted)},{record.mask_size}\n"
                 )
-            if debug_check_interval and (t + 1) % debug_check_interval == 0:
-                value, grad = counting.inner.evaluate(state.logits)
-                if value != state.energy or not np.array_equal(grad, state.gradient):
-                    raise AssertionError(
-                        f"cached (energy, gradient) diverged at step {t + 1}"
-                    )
     finally:
         if trace is not None:
             trace.flush()
 
     return ChainSummary(
         steps=local_cfg.steps,
-        walk_proposals=walk_proposals,
-        walk_accepts=walk_accepts,
-        jump_proposals=jump_proposals,
-        jump_accepts=jump_accepts,
-        post_walk_proposals=post_walk_proposals,
-        post_walk_accepts=post_walk_accepts,
-        post_jump_proposals=post_jump_proposals,
-        post_jump_accepts=post_jump_accepts,
-        min_energy=min_energy,
-        min_energy_step=min_step,
-        min_energy_logits=min_logits,
+        burn_in=local_cfg.burn_in,
+        jumped=jumped,
+        accepted=accepted,
         final_state=state,
         energies=energies,
         snapshots=snapshots,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Rng, one_hot, row_marginals, softmax_rows
+from .core import Rng, one_hot, softmax_rows
 from .energy import EnergyModel
 from .textio import read_blocks, write_blocks
 
@@ -102,11 +102,6 @@ class MaskedSequenceModel:
 
     # -- shared code path ---------------------------------------------------
 
-    def expected_embeddings(self, marginals) -> np.ndarray:
-        """Mixture-weighted token embeddings, one row per site: z = q @ embed."""
-        q = _check_marginals(marginals, self.shape)
-        return q @ self.embed
-
     def masked_logits(self, marginals) -> np.ndarray:
         """Raw (untempered) masked logits at every site, (L, K)."""
         q = _check_marginals(marginals, self.shape)
@@ -144,10 +139,6 @@ class MaskedSequenceModel:
     def conditionals_from_tokens(self, tokens, tau: float) -> np.ndarray:
         """Discrete mode: exact one-hot marginal rows for a token sequence."""
         return self.conditionals(one_hot(tokens, self.shape[1]), tau)
-
-    def conditionals_from_logits(self, logits, tau: float) -> np.ndarray:
-        """Relaxed mode: marginal rows are the softmax of a logit matrix."""
-        return self.conditionals(row_marginals(logits), tau)
 
     def log_conditionals_from_logits(self, logits, tau: float) -> np.ndarray:
         """log ``conditionals`` on the softmax rows of logits the program

@@ -115,7 +115,7 @@ def _criterion_2():
     for _ in range(1000):
         state = ChainState.initialize(rng.normal((length, vocab)), energy)
         prop = walk_propose(state, cfg, energy, rng)
-        state2 = ChainState(prop.logits, prop.energy, prop.gradient, 0)
+        state2 = ChainState(prop.logits, prop.energy, prop.gradient)
         rev = WalkProposal(
             state.logits, state.energy, state.gradient,
             prop.log_q_reverse, prop.log_q_forward,
@@ -205,7 +205,7 @@ def _criterion_4():
     post = np.stack([s for (t, s) in summary.snapshots if t > burn])
     mean_err = float(np.max(np.abs(post.mean(axis=0) - center)))
     var_err = float(np.max(np.abs(post.var(axis=0) - scale**2 / cfg.beta) / (scale**2 / cfg.beta)))
-    acc = summary.post_burn_in_walk_acceptance
+    acc = summary.acceptance("walk", post_burn_in=True)
     ok = mean_err < 0.05 and var_err < 0.05 and 0.40 <= acc <= 0.60
     detail = f"mean err {mean_err:.4f} (<0.05), var rel err {var_err:.4f} (<5%), acceptance {acc:.3f} in [0.40, 0.60]"
     return ok, detail, f"{_fmt(mean_err)}|{_fmt(var_err)}|{_fmt(acc)}"

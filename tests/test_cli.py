@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -194,6 +195,79 @@ lambda = 0.1
         self.run_and_read_trace(tmp_path, 128, 100)
 
 
+class TestPinnedBytes:
+    # sha256 of summary.json and trace.csv for two short seeded runs, taken
+    # with numpy 2.4 on x86-64 Linux. Any change to the draw protocol, the
+    # acceptance arithmetic or the summary fields shows here; a change that
+    # means to move them must record the old and new hashes and the reason.
+    # "mixture": both kernels, adapt_eta, burn-in ends inside the run.
+    # "walk-only": p_jump = 0, so jump_acceptance is null.
+    CONFIG = """
+[run]
+seed = 23
+steps = 300
+snapshot_stride = 50
+
+[sampler]
+beta = 4.0
+eta = 0.02
+p_jump = {p_jump}
+kappa = 0.5
+gamma = 2.5
+adapt_eta = true
+burn_in = 120
+
+[energy]
+kind = planted
+length = 6
+vocab = 4
+modes = 3
+depth = 2.0
+landscape_seed = 5
+ridge_scale = 1.0
+lambda = 0.1
+
+[model]
+seed = 3
+width = 8
+"""
+    PINNED = {
+        "mixture": (0.3, {
+            "summary.json":
+                "4bd2c5a98ff4c651c832ce024d6eded38bd480588d40fd00ce032a961ef331de",
+            "trace.csv":
+                "97954ede6208edeb9878ca507a9fd562f67d090edd453cd73503725c1439ab1b",
+        }),
+        "walk-only": (0.0, {
+            "summary.json":
+                "a1e733eafae85c3defe1d23ac52b46f08137e24336278727a926e9f81bc35371",
+            "trace.csv":
+                "e3c6d47886439afa3779eb8212a75b33fc7b3236b9aba63d3b0467291498dba4",
+        }),
+    }
+
+    def run_case(self, tmp_path, name):
+        p_jump, pinned = self.PINNED[name]
+        cfg = write(tmp_path / "run.ini", self.CONFIG.format(p_jump=p_jump))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+               for file in pinned}
+        assert got == pinned
+        return json.loads((out / "summary.json").read_text())
+
+    def test_mixture_run(self, tmp_path):
+        summary = self.run_case(tmp_path, "mixture")
+        assert summary["walk_proposals"] > 0 and summary["jump_proposals"] > 0
+        assert summary["min_energy_step"] > 0
+
+    def test_walk_only_run(self, tmp_path):
+        summary = self.run_case(tmp_path, "walk-only")
+        assert summary["jump_proposals"] == 0
+        assert summary["jump_acceptance"] is None
+        assert summary["min_energy_step"] > 0
+
+
 class TestValidate:
     CONFIG = """
 [run]
@@ -304,6 +378,7 @@ snapshot_stride = 50
         payload = json.loads((out / "campaign.json").read_text())
         assert payload["compute_parity"] is True
         assert set(payload["methods"]) == {"rss", "rso"}
+        assert not any("failure_reasons" in m for m in payload["methods"].values())
         csv = (out / "curve.csv").read_text().splitlines()
         assert csv[0].startswith("# rss-version=")
         assert csv[1] == "method,threshold,designable_count,success_rate"
@@ -347,6 +422,9 @@ snapshot_stride = 50
         methods = json.loads(text, parse_constant=reject)["methods"]
         assert methods["rss"]["median_designable"] is None
         assert methods["rso"]["median_clusters"] is None
+        for method in ("rso", "rss"):
+            assert methods[method]["failure_reasons"] == [
+                f"KeyError: 'seed {s}'" for s in (0, 1)]
 
 
 class TestConfigErrors:

@@ -103,7 +103,7 @@ class TestWalk:
         for _ in range(200):
             state = ChainState.initialize(rng.normal((L, K)), gaussian)
             prop = walk_propose(state, cfg, gaussian, rng)
-            state2 = ChainState(prop.logits, prop.energy, prop.gradient, 0)
+            state2 = ChainState(prop.logits, prop.energy, prop.gradient)
             rev = WalkProposal(
                 state.logits, state.energy, state.gradient,
                 prop.log_q_reverse, prop.log_q_forward,
@@ -137,7 +137,7 @@ class TestWalk:
         energy = ExplodingEnergy(np.zeros((L, K)), 0.01)
         cfg = SamplerConfig(beta=1.0, eta=0.5)
         rng = Rng(7)
-        state = ChainState(np.zeros((L, K)), 0.0, np.zeros((L, K)), 0)
+        state = ChainState(np.zeros((L, K)), 0.0, np.zeros((L, K)))
         vetoed = 0
         for _ in range(50):
             proposal = walk_propose(state, cfg, energy, rng)
@@ -454,11 +454,14 @@ class TestStep:
 
 class TestRunChain:
     def test_zero_steps(self, gaussian):
-        cfg = SamplerConfig(beta=1.0, eta=0.1, steps=0)
+        cfg = SamplerConfig(beta=1.0, eta=0.1, steps=0, burn_in=5)
         logits0 = Rng(25).normal((L, K))
         summary = run_chain(logits0, cfg, gaussian, rng=Rng(26))
         assert summary.steps == 0
-        assert summary.walk_proposals == 0 and summary.jump_proposals == 0
+        assert summary.moves("walk") == (0, 0) and summary.moves("jump") == (0, 0)
+        assert summary.acceptance("walk") is None
+        assert summary.acceptance("jump", post_burn_in=True) is None
+        assert summary.post_burn_in_energies().size == 0
         np.testing.assert_array_equal(summary.final_state.logits, logits0)
         assert summary.energy_evaluations == 1
 
@@ -473,7 +476,7 @@ class TestRunChain:
         post = np.stack([s for (t, s) in summary.snapshots if t > cfg.burn_in])
         assert np.max(np.abs(post.mean(axis=0) - gaussian.center)) < 0.12
         assert np.max(np.abs(post.var(axis=0) - 1.0)) < 0.12
-        assert 0.35 < summary.post_burn_in_walk_acceptance < 0.65
+        assert 0.35 < summary.acceptance("walk", post_burn_in=True) < 0.65
 
     def test_walk_jump_mixture_recovers_gaussian_moments(self, gaussian, model):
         # any acceptance-ratio bug in the jump kernel would bias these moments
@@ -486,7 +489,7 @@ class TestRunChain:
             snapshot_stride=1,
         )
         post = np.stack([s for (t, s) in summary.snapshots if t > cfg.burn_in])
-        assert summary.jump_accepts > 500
+        assert summary.moves("jump")[1] > 500
         assert np.max(np.abs(post.mean(axis=0) - gaussian.center)) < 0.12
         assert np.max(np.abs(post.var(axis=0) - 1.0)) < 0.12
 
@@ -507,6 +510,27 @@ class TestRunChain:
         summary = run_chain(Rng(31).normal((L, K)), cfg, gaussian, model=model, rng=Rng(32))
         assert summary.energy_evaluations == cfg.steps + 1
 
+    def test_move_counts_match_trace_rows(self, gaussian, model):
+        cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=0.4, steps=200, gamma=1.0, burn_in=60)
+        sink = io.StringIO()
+        summary = run_chain(Rng(41).normal((L, K)), cfg, gaussian, model=model,
+                            rng=Rng(42), trace=sink)
+        rows = [line.split(",") for line in sink.getvalue().strip().split("\n")[1:]]
+        for kind in ("walk", "jump"):
+            for start in (0, cfg.burn_in):
+                mine = [r for r in rows[start:] if r[1] == kind]
+                expected = (len(mine), sum(r[4] == "1" for r in mine))
+                assert summary.moves(kind, post_burn_in=start > 0) == expected
+                assert expected[0] > 0
+                assert summary.acceptance(kind, post_burn_in=start > 0) == (
+                    expected[1] / expected[0])
+        np.testing.assert_array_equal(
+            summary.energies[1:], [float(r[2]) for r in rows])
+        np.testing.assert_array_equal(summary.post_burn_in_energies(),
+                                      summary.energies[cfg.burn_in + 1:])
+        with pytest.raises(ValueError, match="move kind"):
+            summary.moves("swap")
+
     def test_trace_csv(self, gaussian, tmp_path):
         cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=0.0, steps=20)
         sink = io.StringIO()
@@ -519,11 +543,16 @@ class TestRunChain:
         assert float(first[2]) == summary.energies[1]
 
     def test_debug_cache_check_passes(self, gaussian, model):
+        # the cached (energy, gradient) equals a fresh evaluation every 10 steps
         cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=0.3, steps=120, gamma=1.0)
-        run_chain(
-            Rng(35).normal((L, K)), cfg, gaussian, model=model, rng=Rng(36),
-            debug_check_interval=10,
-        )
+        state = ChainState.initialize(Rng(35).normal((L, K)), gaussian)
+        rng = Rng(36)
+        for t in range(cfg.steps):
+            state, _ = step(state, cfg, gaussian, model, rng)
+            if (t + 1) % 10 == 0:
+                value, grad = gaussian.evaluate(state.logits)
+                assert value == state.energy
+                assert np.array_equal(grad, state.gradient)
 
     def test_determinism(self, gaussian, model):
         cfg = SamplerConfig(beta=1.0, eta=0.15, p_jump=0.25, steps=300, gamma=1.5)

@@ -22,40 +22,51 @@ def random_marginals(rng, length=L, vocab=K):
     return row_marginals(rng.normal((length, vocab)))
 
 
-def naive_conditionals(model, marginals, tau):
-    # rebuilds each masked context from scratch, one site at a time
+def naive_masked_logits(model, z):
+    # rebuilds each masked context from scratch, one site at a time, from
+    # the per-site embedding rows z
     out = np.empty(model.shape)
-    z = marginals @ model.embed
     for i in range(model.shape[0]):
         terms = [z[j] + model.positional[j] for j in range(model.shape[0]) if j != i]
         mean = np.mean(terms, axis=0) if terms else np.zeros(model.width)
         pre = model.mix @ mean + model.mask_embed + model.positional[i]
-        logits = np.tanh(pre) @ model.readout + model.bias
-        scaled = logits / tau
-        scaled -= scaled.max()
-        out[i] = np.exp(scaled) / np.exp(scaled).sum()
+        out[i] = np.tanh(pre) @ model.readout + model.bias
     return out
 
 
+def naive_conditionals(model, marginals, tau):
+    scaled = naive_masked_logits(model, marginals @ model.embed) / tau
+    scaled -= scaled.max(axis=1, keepdims=True)
+    return np.exp(scaled) / np.exp(scaled).sum(axis=1, keepdims=True)
+
+
 class TestExpectedEmbeddings:
+    # masked_logits must see each site as its mixture-weighted embedding
+    # q_i @ embed; each test gives the reference those rows directly
     def test_onehot_selects_embedding_row(self, model):
         tokens = np.array([3, 0, 1, 4, 2, 3])
-        z = model.expected_embeddings(one_hot(tokens, K))
-        np.testing.assert_array_equal(z, model.embed[tokens])
+        np.testing.assert_allclose(
+            model.masked_logits(one_hot(tokens, K)),
+            naive_masked_logits(model, model.embed[tokens]), rtol=0, atol=1e-14,
+        )
 
     def test_uniform_gives_column_means(self, model):
         q = np.full((L, K), 1.0 / K)
-        z = model.expected_embeddings(q)
-        np.testing.assert_allclose(z, np.tile(model.embed.mean(axis=0), (L, 1)), atol=1e-15)
+        np.testing.assert_allclose(
+            model.masked_logits(q),
+            naive_masked_logits(model, np.tile(model.embed.mean(axis=0), (L, 1))),
+            rtol=0, atol=1e-14,
+        )
 
     def test_matches_direct_sum(self, model):
         rng = Rng(1)
         q = random_marginals(rng)
-        z = model.expected_embeddings(q)
         direct = np.array(
             [sum(q[i, k] * model.embed[k] for k in range(K)) for i in range(L)]
         )
-        np.testing.assert_allclose(z, direct, atol=1e-14)
+        np.testing.assert_allclose(
+            model.masked_logits(q), naive_masked_logits(model, direct), rtol=0, atol=1e-14,
+        )
 
 
 class TestConditionals:
@@ -71,7 +82,7 @@ class TestConditionals:
         saturated = 800.0 * one_hot(tokens, K)
         assert np.array_equal(row_marginals(saturated), one_hot(tokens, K))
         assert np.array_equal(
-            model.conditionals_from_logits(saturated, 1.0),
+            model.conditionals(row_marginals(saturated), 1.0),
             model.conditionals_from_tokens(tokens, 1.0),
         )
 
