@@ -23,7 +23,6 @@ from .energy import (
     GaussianEnergy,
     PairwiseContactEnergy,
     PlantedLandscape,
-    enumerate_discrete_energies,
 )
 from .sampler import SamplerConfig, run_chain
 from .softplm import MaskedSequenceModel, SoftPlmEnergy
@@ -119,24 +118,12 @@ def unique_sequences(seqs) -> np.ndarray:
     return np.unique(seqs, axis=0)
 
 
-def designable_surrogate(
-    seqs,
-    landscape: PlantedLandscape | PairwiseContactEnergy,
-    threshold: float | None = None,
-    quantile: float = 0.05,
-) -> np.ndarray:
-    """Unique sequences whose discrete energy falls below the threshold.
+def designable_surrogate(seqs, energy: PairwiseContactEnergy, threshold: float) -> np.ndarray:
+    """Unique sequences whose discrete energy falls below ``threshold``.
 
-    With no explicit threshold, the threshold is the ``quantile`` quantile
-    of the enumerated discrete energies; a landscape too large to enumerate
-    needs an explicit threshold.
+    For a planted landscape the threshold is a quantile of its enumerated
+    energies, ``landscape.quantile(q)``.
     """
-    energy = landscape.energy if isinstance(landscape, PlantedLandscape) else landscape
-    if threshold is None:
-        try:
-            threshold = float(np.quantile(enumerate_discrete_energies(energy), quantile))
-        except ValueError as exc:
-            raise ValueError("landscape is not enumerable; pass an explicit threshold") from exc
     uniq = unique_sequences(seqs)
     if uniq.shape[0] == 0:
         return uniq
@@ -190,10 +177,14 @@ class CampaignConfig:
             raise ValueError("seeds must be >= 1")
         if self.step_budget < 0:
             raise ValueError("step_budget must be >= 0")
+        if self.lam < 0:
+            raise ValueError("prior weight lam must be >= 0")
         if self.lam > 0 and self.model is None and (
             "rss" in self.methods or "rso" in self.methods
         ):
             raise ValueError("lam > 0 requires a masked sequence model")
+        if "rss" in self.methods and self.sampler.p_jump > 0 and self.model is None:
+            raise ValueError("p_jump > 0 requires a masked sequence model")
         if self.cluster_radius is None:
             self.cluster_radius = self.landscape.energy.shape[0] // 4
 
@@ -330,17 +321,26 @@ def _run_one_seed(cfg: CampaignConfig, method: str, seed_index: int):
     return decoded, evals
 
 
+def _cluster_count(seqs, radius: int) -> int:
+    return int(cluster_sequences(seqs, radius).max() + 1) if seqs.shape[0] else 0
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run every configured method over all seeds and build the report.
+
+    Every threshold is a quantile of the landscape's own energy table
+    (``PlantedLandscape.quantile``); the campaign enumerates nothing. Each
+    method's pooled unique candidates are scored once, and the designable
+    count and the curve rows are read from those energies.
 
     Per-seed failures are recorded with their reason and skipped, not
     fatal. Compute parity (identical per-seed evaluation counts across
     methods) is tracked from actual call counts and reported, never assumed.
     """
-    all_energies = enumerate_discrete_energies(cfg.landscape.energy)
-    threshold = float(np.quantile(all_energies, cfg.designable_quantile))
+    landscape = cfg.landscape
+    threshold = landscape.quantile(cfg.designable_quantile)
     curve_quantiles = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-    curve_thresholds = [float(np.quantile(all_energies, q)) for q in curve_quantiles]
+    curve_thresholds = [landscape.quantile(q) for q in curve_quantiles]
 
     results = {}
     for method in cfg.methods:
@@ -355,39 +355,17 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
                 continue
             per_evals.append(evals)
             pooled.append(decoded)
-            designable = designable_surrogate(
-                decoded, cfg.landscape.energy, threshold=threshold
-            )
+            designable = designable_surrogate(decoded, landscape.energy, threshold)
             per_designable.append(int(designable.shape[0]))
-            per_clusters.append(
-                int(cluster_sequences(designable, cfg.cluster_radius).max() + 1)
-                if designable.shape[0]
-                else 0
-            )
+            per_clusters.append(_cluster_count(designable, cfg.cluster_radius))
 
-        pooled_matrix = (
-            np.concatenate(pooled, axis=0)
-            if pooled
-            else np.zeros((0, cfg.landscape.energy.shape[0]), dtype=np.int64)
-        )
-        pooled_unique = unique_sequences(pooled_matrix)
-        pooled_designable = designable_surrogate(
-            pooled_unique, cfg.landscape.energy, threshold=threshold
-        )
-        pooled_clusters = (
-            int(cluster_sequences(pooled_designable, cfg.cluster_radius).max() + 1)
-            if pooled_designable.shape[0]
-            else 0
-        )
-        curve = []
-        for thr in curve_thresholds:
-            count = int(
-                designable_surrogate(
-                    pooled_unique, cfg.landscape.energy, threshold=thr
-                ).shape[0]
-            )
-            rate = count / pooled_unique.shape[0] if pooled_unique.shape[0] else 0.0
-            curve.append((thr, count, rate))
+        empty = np.zeros((0, landscape.energy.shape[0]), dtype=np.int64)
+        pooled_unique = unique_sequences(np.concatenate(pooled or [empty]))
+        pooled_energies = landscape.energy.discrete_energies(pooled_unique)
+        pooled_designable = pooled_unique[pooled_energies < threshold]
+        counts = [int((pooled_energies < thr).sum()) for thr in curve_thresholds]
+        n_unique = max(pooled_unique.shape[0], 1)  # an empty pool rates 0.0
+        curve = [(thr, c, c / n_unique) for thr, c in zip(curve_thresholds, counts)]
 
         results[method] = MethodResult(
             method=method,
@@ -395,7 +373,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             per_seed_clusters=per_clusters,
             per_seed_energy_evals=per_evals,
             pooled_designable=int(pooled_designable.shape[0]),
-            pooled_clusters=pooled_clusters,
+            pooled_clusters=_cluster_count(pooled_designable, cfg.cluster_radius),
             failed_seeds=failed,
             failure_reasons=reasons,
             curve=curve,
@@ -414,9 +392,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         "designable_threshold": threshold,
         "seed0": cfg.seed0,
         "init_scale": cfg.init_scale,
-        "landscape_seed": cfg.landscape.seed,
-        "landscape_shape": list(cfg.landscape.energy.shape),
-        "landscape_modes": int(cfg.landscape.modes.shape[0]),
+        "landscape_seed": landscape.seed,
+        "landscape_shape": list(landscape.energy.shape),
+        "landscape_modes": int(landscape.modes.shape[0]),
     }
     return CampaignReport(results=results, compute_parity=parity, config_echo=config_echo)
 

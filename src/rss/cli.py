@@ -24,6 +24,7 @@ from . import __version__
 from .core import Rng, argmax_decode, decode_to_letters
 from .energy import (
     GaussianEnergy,
+    PlantedLandscape,
     TargetProfileEnergy,
     load_landscape,
     planted_landscape,
@@ -240,41 +241,54 @@ def _build_model(model_cfg: dict, length: int | None = None, vocab: int | None =
     )
 
 
+def _landscape(section: dict, path: str, out: str) -> PlantedLandscape:
+    """Load ``path``, or plant from the section's keys into landscape.txt."""
+    if path:
+        return load_landscape(path)
+    landscape = planted_landscape(
+        section["length"], section["vocab"], section["modes"], section["depth"],
+        Rng(section["landscape_seed"]),
+    )
+    save_landscape(landscape, os.path.join(out, "landscape.txt"),
+                   comment=_header(section["landscape_seed"]))
+    return landscape
+
+
+def _from_config(build, *args, **kwargs):
+    """``build(...)``, whose ValueError on a configured value exits 2."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_base_energy(energy_cfg: dict, out: str):
-    """Returns (base energy, landscape-or-None)."""
     kind = energy_cfg["kind"]
     length, vocab = energy_cfg["length"], energy_cfg["vocab"]
     if kind == "gaussian":
-        return GaussianEnergy(np.zeros((length, vocab)), energy_cfg["scale"]), None
+        return GaussianEnergy(np.zeros((length, vocab)), energy_cfg["scale"])
     if kind == "target-profile":
         rng = Rng(energy_cfg["landscape_seed"])
         raw = np.abs(rng.normal((length, vocab))) + 0.1
-        return TargetProfileEnergy(raw / raw.sum(axis=1, keepdims=True)), None
+        return TargetProfileEnergy(raw / raw.sum(axis=1, keepdims=True))
     if kind == "planted":
-        landscape = planted_landscape(
-            length, vocab, energy_cfg["modes"], energy_cfg["depth"],
-            Rng(energy_cfg["landscape_seed"]),
-        )
-        save_landscape(landscape, os.path.join(out, "landscape.txt"),
-                       comment=_header(energy_cfg["landscape_seed"]))
-        return landscape.energy, landscape
+        return _landscape(energy_cfg, "", out).energy
     if kind == "landscape-file":
         if not energy_cfg["file"]:
             raise ConfigError("energy kind 'landscape-file' needs the 'file' key")
-        landscape = load_landscape(energy_cfg["file"])
-        return landscape.energy, landscape
+        return _landscape(energy_cfg, energy_cfg["file"], out).energy
     raise ConfigError(f"unknown energy kind {kind!r}")
 
 
 def cmd_run(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
-    sampler_cfg = SamplerConfig(steps=values["run"]["steps"], **values["sampler"])
+    sampler_cfg = _from_config(SamplerConfig, steps=values["run"]["steps"], **values["sampler"])
 
-    base, _ = _build_base_energy(values["energy"], out)
+    base = _build_base_energy(values["energy"], out)
     # the jump kernel needs a model even when the prior weight is zero
     model = _build_model(values["model"], length=base.shape[0], vocab=base.shape[1])
-    energy = compose_energy(base, values["energy"]["ridge_scale"], model,
-                            values["energy"]["lambda"], sampler_cfg.tau)
+    energy = _from_config(compose_energy, base, values["energy"]["ridge_scale"], model,
+                          values["energy"]["lambda"], sampler_cfg.tau)
 
     rng = Rng(seed)
     shape = energy.shape
@@ -376,22 +390,14 @@ def cmd_calibrate(values: dict, out: str) -> int:
 def cmd_bench(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     bcfg = values["bench"]
-    sampler_cfg = SamplerConfig(**values["sampler"])
+    sampler_cfg = _from_config(SamplerConfig, **values["sampler"])
 
-    if bcfg["landscape_file"]:
-        landscape = load_landscape(bcfg["landscape_file"])
-    else:
-        landscape = planted_landscape(
-            bcfg["length"], bcfg["vocab"], bcfg["modes"], bcfg["depth"],
-            Rng(bcfg["landscape_seed"]),
-        )
-        save_landscape(landscape, os.path.join(out, "landscape.txt"),
-                       comment=_header(bcfg["landscape_seed"]))
-
+    landscape = _landscape(bcfg, bcfg["landscape_file"], out)
     shape = landscape.energy.shape
     model = _build_model(values["model"], length=shape[0], vocab=shape[1])
     methods = tuple(m.strip() for m in bcfg["methods"].split(",") if m.strip())
-    campaign = CampaignConfig(
+    campaign = _from_config(
+        CampaignConfig,
         landscape=landscape,
         sampler=sampler_cfg,
         seeds=bcfg["seeds"],

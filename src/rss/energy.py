@@ -10,7 +10,7 @@ a correctness oracle for the walk kernel.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -282,14 +282,26 @@ def sequence_index(tokens, vocab: int) -> int:
 
 @dataclass
 class PlantedLandscape:
-    """A coupling energy with construction-verified low-energy modes."""
+    """A coupling energy with construction-verified low-energy modes.
+
+    ``energies`` is the discrete energy of every sequence in enumeration
+    order, kept from the one enumeration that verified the landscape. The
+    median and every threshold (``quantile``) are read from it.
+    """
 
     energy: PairwiseContactEnergy
-    modes: np.ndarray  # (M, L) planted token sequences
+    modes: np.ndarray     # (M, L) planted token sequences
     seed: int
     depth: float
-    # enumeration fact frozen at construction time
-    median_energy: float = field(default=float("nan"))
+    energies: np.ndarray  # (K^L,) read-only
+
+    @property
+    def median_energy(self) -> float:
+        return float(np.median(self.energies))
+
+    def quantile(self, q: float) -> float:
+        """The ``q`` quantile of the discrete energies of all sequences."""
+        return float(np.quantile(self.energies, q))
 
 
 def _draw_separated_sequences(length, vocab, n_modes, rng: Rng, attempts=10_000):
@@ -360,11 +372,9 @@ def planted_landscape(
         fields = noise * rng.normal((length, vocab))
         energy = PairwiseContactEnergy(contacts, fields)
 
-        landscape = PlantedLandscape(
-            energy=energy, modes=modes, seed=seed, depth=depth
-        )
-        if _verify_planted(landscape, designable_quantile):
-            return landscape
+        energies = _verified_energies(energy, modes, depth, designable_quantile)
+        if energies is not None:
+            return PlantedLandscape(energy, modes, seed, depth, energies)
 
     raise LandscapeGenerationError(
         f"landscape checks failed after {max_retries} attempts "
@@ -372,17 +382,19 @@ def planted_landscape(
     )
 
 
-def _verify_planted(landscape: PlantedLandscape, designable_quantile: float) -> bool:
-    energy = landscape.energy
+def _verified_energies(energy: PairwiseContactEnergy, modes, depth: float,
+                       designable_quantile: float) -> np.ndarray | None:
+    """All discrete energies, read-only, if the modes pass the planted
+    checks; None otherwise."""
     length, vocab = energy.shape
     all_energies = enumerate_discrete_energies(energy)
     median = float(np.median(all_energies))
     threshold = float(np.quantile(all_energies, designable_quantile))
 
-    for mode in landscape.modes:
+    for mode in modes:
         e_mode = all_energies[sequence_index(mode, vocab)]
-        if not (e_mode <= median - landscape.depth and e_mode < threshold):
-            return False
+        if not (e_mode <= median - depth and e_mode < threshold):
+            return None
         # strict local minimum over the Hamming-1 neighborhood
         for i in range(length):
             for tok in range(vocab):
@@ -391,10 +403,10 @@ def _verify_planted(landscape: PlantedLandscape, designable_quantile: float) -> 
                 neighbor = mode.copy()
                 neighbor[i] = tok
                 if all_energies[sequence_index(neighbor, vocab)] <= e_mode:
-                    return False
+                    return None
 
-    landscape.median_energy = median
-    return True
+    all_energies.flags.writeable = False
+    return all_energies
 
 
 # --- landscape file ---------------------------------------------------------
@@ -432,13 +444,11 @@ def load_landscape(path) -> PlantedLandscape:
         if tag.startswith("contact "):
             _, i, j = tag.split()
             contacts.append((int(i), int(j), mat))
-    landscape = PlantedLandscape(
-        energy=PairwiseContactEnergy(contacts, arrays["fields"]),
-        modes=arrays["modes"].astype(np.int64),
-        seed=int(header["seed"]),
-        depth=float(header["depth"]),
-    )
-    if not _verify_planted(landscape, 0.05):
+    energy = PairwiseContactEnergy(contacts, arrays["fields"])
+    modes = arrays["modes"].astype(np.int64)
+    depth = float(header["depth"])
+    energies = _verified_energies(energy, modes, depth, 0.05)
+    if energies is None:
         raise LandscapeGenerationError(f"loaded landscape failed verification: {path}")
-    return landscape
+    return PlantedLandscape(energy, modes, int(header["seed"]), depth, energies)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Rng, one_hot, softmax_rows
-from .energy import EnergyModel
+from .energy import EnergyModel, _softmax_row_backprop
 from .textio import read_blocks, write_blocks
 
 LOG_TAU_LOW = float(np.log(0.05))
@@ -202,9 +202,7 @@ class SoftPlmEnergy(EnergyModel):
         # outer pathway: dE/dq_i holding conditionals fixed
         dq_outer = -log_p
 
-        dq = dq_outer + dq_context
-        inner = (q * dq).sum(axis=1, keepdims=True)
-        return value, q * (dq - inner)
+        return value, _softmax_row_backprop(q, dq_outer + dq_context)
 
 
 def golden_section_minimize(fn, lo: float, hi: float, tol: float) -> float:

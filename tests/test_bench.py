@@ -108,29 +108,26 @@ class TestClustering:
 class TestDesignableSurrogate:
     def test_threshold_below_minimum_empty(self, landscape):
         seqs = unique_sequences(landscape.modes)
-        low = enumerate_discrete_energies(landscape.energy).min() - 1.0
-        assert designable_surrogate(seqs, landscape, threshold=low).shape[0] == 0
+        low = landscape.energies.min() - 1.0
+        assert designable_surrogate(seqs, landscape.energy, low).shape[0] == 0
 
     def test_threshold_above_maximum_keeps_all_unique(self, landscape):
         rng = Rng(98)
         seqs = np.array([[rng.integer(4) for _ in range(6)] for _ in range(30)])
-        high = enumerate_discrete_energies(landscape.energy).max() + 1.0
+        high = landscape.energies.max() + 1.0
         expected = unique_sequences(seqs).shape[0]
-        assert designable_surrogate(seqs, landscape, threshold=high).shape[0] == expected
+        assert designable_surrogate(seqs, landscape.energy, high).shape[0] == expected
 
     def test_planted_modes_pass_default_quantile(self, landscape):
-        kept = designable_surrogate(landscape.modes, landscape)
+        kept = designable_surrogate(landscape.modes, landscape.energy, landscape.quantile(0.05))
         assert kept.shape[0] == landscape.modes.shape[0]
 
     def test_deduplication_invariance(self, landscape):
         seqs = np.concatenate([landscape.modes, landscape.modes], axis=0)
-        once = designable_surrogate(landscape.modes, landscape)
-        twice = designable_surrogate(seqs, landscape)
+        threshold = landscape.quantile(0.05)
+        once = designable_surrogate(landscape.modes, landscape.energy, threshold)
+        twice = designable_surrogate(seqs, landscape.energy, threshold)
         np.testing.assert_array_equal(once, twice)
-
-    def test_bare_energy_without_threshold_enumerates(self, landscape):
-        kept = designable_surrogate(landscape.modes, landscape.energy, quantile=0.05)
-        assert kept.shape[0] == landscape.modes.shape[0]
 
     def test_default_quantile_ignores_construction_quantile(self):
         # a landscape built with a 30% designable check is still scored at
@@ -138,7 +135,7 @@ class TestDesignableSurrogate:
         built = planted_landscape(5, 4, 2, 2.0, Rng(3), designable_quantile=0.3)
         energies = enumerate_discrete_energies(built.energy)
         all_seqs = np.array(np.unravel_index(np.arange(4**5), (4,) * 5)).T
-        kept = designable_surrogate(all_seqs, built)
+        kept = designable_surrogate(all_seqs, built.energy, built.quantile(0.05))
         assert kept.shape[0] == int((energies < np.quantile(energies, 0.05)).sum())
         assert kept.shape[0] == 52
 
@@ -147,8 +144,6 @@ class TestDesignableSurrogate:
 
         huge = PairwiseContactEnergy([], np.zeros((30, 4)))  # 4^30 states
         seqs = np.zeros((2, 30), dtype=np.int64)
-        with pytest.raises(ValueError, match="explicit threshold"):
-            designable_surrogate(seqs, huge)
         kept = designable_surrogate(seqs, huge, threshold=1.0)
         assert kept.shape[0] == 1  # deduplicated, field energies all zero
 
@@ -237,3 +232,24 @@ class TestCampaign:
     def test_lam_requires_model(self, landscape):
         with pytest.raises(ValueError):
             self.make_config(landscape, None, lam=0.5)
+
+    def test_jump_kernel_requires_model(self, landscape):
+        # rss with p_jump > 0 needs the model even at lam = 0; rso does not
+        with pytest.raises(ValueError, match="p_jump"):
+            self.make_config(landscape, None, lam=0.0)
+        self.make_config(landscape, None, lam=0.0, methods=("rso",))
+        walk_only = SamplerConfig(beta=1.2, eta=0.1, p_jump=0.0)
+        self.make_config(landscape, None, lam=0.0, sampler=walk_only)
+
+    def test_curve_and_pooled_counts_match_enumeration(self, landscape, model):
+        report = run_campaign(self.make_config(landscape, model, seeds=2))
+        energies = enumerate_discrete_energies(landscape.energy)
+        threshold = float(np.quantile(energies, 0.05))
+        assert report.config_echo["designable_threshold"] == threshold
+        for res in report.results.values():
+            assert [t for t, _, _ in res.curve] == [
+                float(np.quantile(energies, q))
+                for q in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)]
+            counts = [c for _, c, _ in res.curve]
+            assert counts == sorted(counts)
+            assert counts[2] == res.pooled_designable  # the 5% row

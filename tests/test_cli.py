@@ -267,6 +267,58 @@ width = 8
         assert summary["jump_acceptance"] is None
         assert summary["min_energy_step"] > 0
 
+    # "bench": a two-seed rss/rso campaign on the same planted 6 x 4
+    # landscape. It pins the designable counts, the clusters and every
+    # curve row, as well as the landscape file.
+    BENCH_CONFIG = """
+[run]
+seed = 29
+
+[sampler]
+beta = 4.0
+eta = 0.02
+p_jump = 0.3
+kappa = 0.5
+gamma = 2.5
+adapt_eta = true
+burn_in = 120
+
+[model]
+seed = 3
+width = 8
+
+[bench]
+length = 6
+vocab = 4
+modes = 3
+depth = 2.0
+landscape_seed = 5
+seeds = 2
+step_budget = 300
+methods = rss,rso
+lam = 0.1
+ridge_scale = 1.0
+snapshot_stride = 25
+"""
+    BENCH_PINNED = {
+        "campaign.json":
+            "4be4f2ed4597fbcdaa67baa098c8b1e96635cecf0d8e9791b59b362ecbe3fc97",
+        "curve.csv":
+            "00aa44ce0a32c385266b9c5d65d294300657c83e775ce6d56900503799a8e063",
+        "landscape.txt":
+            "0bab8bc2a0e7ee679bbeb712b7582d61052d98b41c2bdb4db27a19a32e20df93",
+    }
+
+    def test_bench(self, tmp_path):
+        cfg = write(tmp_path / "bench.ini", self.BENCH_CONFIG)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+               for file in self.BENCH_PINNED}
+        assert got == self.BENCH_PINNED
+        methods = json.loads((out / "campaign.json").read_text())["methods"]
+        assert all(m["pooled_designable"] > 0 for m in methods.values())
+
 
 class TestValidate:
     CONFIG = """
@@ -446,3 +498,29 @@ class TestConfigErrors:
     def test_no_out_dir(self, tmp_path, capsys):
         cfg = write(tmp_path / "x.ini", RUN_CONFIG.format(steps=1))
         assert main(["run", "--config", cfg]) == 2
+
+    # values that parse but that SamplerConfig, CampaignConfig or the prior
+    # weight reject are configuration errors too
+
+    def test_negative_beta_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "x.ini",
+                    RUN_CONFIG.format(steps=1).replace("beta = 1.0", "beta = -1.0"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: beta must be positive\n"
+
+    def test_negative_lambda_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "x.ini", RUN_CONFIG.format(steps=1).replace(
+            "ridge_scale = 0.0", "ridge_scale = 0.0\nlambda = -0.1"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: prior weight lam must be >= 0\n"
+
+    def test_zero_bench_seeds_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "x.ini", TestBench.CONFIG.replace("seeds = 2", "seeds = 0"))
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: seeds must be >= 1\n"
+
+    def test_negative_bench_lam_exit_two(self, tmp_path, capsys):
+        # it used to fail every rss and rso seed and still exit 0
+        cfg = write(tmp_path / "x.ini", TestBench.CONFIG.replace("lam = 0.1", "lam = -0.1"))
+        assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: prior weight lam must be >= 0\n"

@@ -222,6 +222,17 @@ class TestPlantedLandscape:
         assert mode_mass(deep, 1.0) > mode_mass(shallow, 1.0)
         assert mode_mass(deep, 1.0) > 0.5
 
+    def test_keeps_its_enumerated_energies(self, tmp_path):
+        land = planted_landscape(5, 4, 3, 2.0, Rng(22))
+        energies = enumerate_discrete_energies(land.energy)
+        np.testing.assert_array_equal(land.energies, energies)
+        assert not land.energies.flags.writeable
+        assert land.median_energy == float(np.median(energies))
+        assert land.quantile(0.05) == float(np.quantile(energies, 0.05))
+        path = tmp_path / "landscape.txt"
+        save_landscape(land, path)
+        np.testing.assert_array_equal(load_landscape(path).energies, energies)
+
     def test_generation_failure_raises(self):
         # more modes than sequences with pairwise Hamming >= 2 can exist
         with pytest.raises((LandscapeGenerationError, ValueError)):
