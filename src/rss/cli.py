@@ -241,17 +241,20 @@ def _build_model(model_cfg: dict, length: int | None = None, vocab: int | None =
     )
 
 
-def _landscape(section: dict, path: str, out: str) -> PlantedLandscape:
-    """Load ``path``, or plant from the section's keys into landscape.txt."""
+def _landscape(section: dict, path: str) -> PlantedLandscape:
+    """Load ``path``, or plant from the section's keys."""
     if path:
         return load_landscape(path)
-    landscape = planted_landscape(
+    return planted_landscape(
         section["length"], section["vocab"], section["modes"], section["depth"],
         Rng(section["landscape_seed"]),
     )
+
+
+def _save_planted(landscape: PlantedLandscape, section: dict, out: str) -> None:
+    """landscape.txt, once the command's configuration has been accepted."""
     save_landscape(landscape, os.path.join(out, "landscape.txt"),
                    comment=_header(section["landscape_seed"]))
-    return landscape
 
 
 def _from_config(build, *args, **kwargs):
@@ -262,21 +265,24 @@ def _from_config(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_base_energy(energy_cfg: dict, out: str):
+def _build_base_energy(energy_cfg: dict):
+    """The structural energy, and the landscape for landscape.txt when the
+    kind is planted (None otherwise)."""
     kind = energy_cfg["kind"]
     length, vocab = energy_cfg["length"], energy_cfg["vocab"]
     if kind == "gaussian":
-        return GaussianEnergy(np.zeros((length, vocab)), energy_cfg["scale"])
+        return GaussianEnergy(np.zeros((length, vocab)), energy_cfg["scale"]), None
     if kind == "target-profile":
         rng = Rng(energy_cfg["landscape_seed"])
         raw = np.abs(rng.normal((length, vocab))) + 0.1
-        return TargetProfileEnergy(raw / raw.sum(axis=1, keepdims=True))
+        return TargetProfileEnergy(raw / raw.sum(axis=1, keepdims=True)), None
     if kind == "planted":
-        return _landscape(energy_cfg, "", out).energy
+        landscape = _landscape(energy_cfg, "")
+        return landscape.energy, landscape
     if kind == "landscape-file":
         if not energy_cfg["file"]:
             raise ConfigError("energy kind 'landscape-file' needs the 'file' key")
-        return _landscape(energy_cfg, energy_cfg["file"], out).energy
+        return _landscape(energy_cfg, energy_cfg["file"]).energy, None
     raise ConfigError(f"unknown energy kind {kind!r}")
 
 
@@ -284,11 +290,13 @@ def cmd_run(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     sampler_cfg = _from_config(SamplerConfig, steps=values["run"]["steps"], **values["sampler"])
 
-    base = _build_base_energy(values["energy"], out)
+    base, planted = _build_base_energy(values["energy"])
     # the jump kernel needs a model even when the prior weight is zero
     model = _build_model(values["model"], length=base.shape[0], vocab=base.shape[1])
     energy = _from_config(compose_energy, base, values["energy"]["ridge_scale"], model,
                           values["energy"]["lambda"], sampler_cfg.tau)
+    if planted is not None:
+        _save_planted(planted, values["energy"], out)
 
     rng = Rng(seed)
     shape = energy.shape
@@ -392,7 +400,7 @@ def cmd_bench(values: dict, out: str) -> int:
     bcfg = values["bench"]
     sampler_cfg = _from_config(SamplerConfig, **values["sampler"])
 
-    landscape = _landscape(bcfg, bcfg["landscape_file"], out)
+    landscape = _landscape(bcfg, bcfg["landscape_file"])
     shape = landscape.energy.shape
     model = _build_model(values["model"], length=shape[0], vocab=shape[1])
     methods = tuple(m.strip() for m in bcfg["methods"].split(",") if m.strip())
@@ -413,6 +421,8 @@ def cmd_bench(values: dict, out: str) -> int:
         seed0=seed,
         init_scale=bcfg["init_scale"],
     )
+    if not bcfg["landscape_file"]:
+        _save_planted(landscape, bcfg, out)
     report = run_campaign(campaign)
 
     write_text(os.path.join(out, "campaign.json"), report.to_json(meta=_meta(seed)))

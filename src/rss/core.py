@@ -152,21 +152,23 @@ def entropy(p) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    nz = p > 0
-    return float((p[nz] * (np.log(p[nz]) - np.log(np.maximum(q[nz], LOG_FLOOR)))).sum())
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unchecked KL(p || q) along the last axis; q floored at 1e-300, and
+    p-zero terms contribute 0 (their log is taken at 1)."""
+    log_p = np.log(np.where(p > 0, p, 1.0))
+    return (p * (log_p - np.log(np.maximum(q, LOG_FLOOR)))).sum(axis=-1)
 
 
 def kl_divergence(p, q) -> float:
     """KL(p || q) in nats; q floored at 1e-300, p-zero terms contribute 0."""
-    return _kl(*_check_simplex_pair(p, q))
+    return float(_kl(*_check_simplex_pair(p, q)))
 
 
 def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence (natural log, midpoint mixture); in [0, ln 2]."""
     p, q = _check_simplex_pair(p, q)
     mid = 0.5 * (p + q)
-    return 0.5 * _kl(p, mid) + 0.5 * _kl(q, mid)
+    return float(0.5 * _kl(p, mid) + 0.5 * _kl(q, mid))
 
 
 def finite_diff_gradient(fn, logits, h: float = 1e-5) -> np.ndarray:

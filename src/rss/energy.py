@@ -165,27 +165,16 @@ class PairwiseContactEnergy(EnergyModel):
 
     def discrete_energy(self, tokens) -> float:
         """Energy of a token sequence at exact one-hot marginals."""
-        toks = np.asarray(tokens, dtype=np.int64)
-        length, vocab = self.shape
-        if toks.shape != (length,) or np.any(toks < 0) or np.any(toks >= vocab):
-            raise ValueError("token sequence does not match the landscape dims")
-        value = float(self.fields[np.arange(length), toks].sum())
-        if self.couplings.shape[0]:
-            value += float(
-                self.couplings[
-                    np.arange(self.couplings.shape[0]),
-                    toks[self.idx_i],
-                    toks[self.idx_j],
-                ].sum()
-            )
-        return value
+        return float(self.discrete_energies(np.asarray(tokens)[None])[0])
 
     def discrete_energies(self, token_matrix: np.ndarray) -> np.ndarray:
         """Vectorized discrete energies for an (N, L) batch of sequences."""
         toks = np.asarray(token_matrix, dtype=np.int64)
-        length = self.shape[0]
+        length, vocab = self.shape
         if toks.ndim != 2 or toks.shape[1] != length:
             raise ValueError("token matrix must be (N, L)")
+        if np.any(toks < 0) or np.any(toks >= vocab):
+            raise ValueError(f"tokens must lie in [0, {vocab})")
         values = self.fields[np.arange(length), toks].sum(axis=1)
         if self.couplings.shape[0]:
             c_idx = np.arange(self.couplings.shape[0])

@@ -103,12 +103,12 @@ class MaskedSequenceModel:
     # -- shared code path ---------------------------------------------------
 
     def masked_logits(self, marginals) -> np.ndarray:
-        """Raw (untempered) masked logits at every site, (L, K)."""
-        q = _check_marginals(marginals, self.shape)
-        return self._forward(q)[0]
+        """Raw (untempered) masked logits at every site, (L, K), on marginal
+        rows from a caller, which are checked here."""
+        return self._forward(_check_marginals(marginals, self.shape))[0]
 
     def _forward(self, q: np.ndarray):
-        # returns (logits, intermediates for backprop)
+        # returns (logits, intermediates for backprop) on checked rows q
         length = q.shape[0]
         z = q @ self.embed                       # (L, d)
         ctx = z + self.positional                # (L, d)
@@ -125,8 +125,7 @@ class MaskedSequenceModel:
         """Masked conditional table p_i(.|q; tau) for all sites, (L, K)."""
         if tau <= 0:
             raise ValueError("temperature tau must be positive")
-        logits = self.masked_logits(marginals)
-        return _tempered_softmax(logits, tau)
+        return softmax_rows(self.masked_logits(marginals) / tau)
 
     def log_conditionals(self, marginals, tau: float) -> np.ndarray:
         """log of ``conditionals``, exact in log space (no probability floor)."""
@@ -134,23 +133,22 @@ class MaskedSequenceModel:
             raise ValueError("temperature tau must be positive")
         return _tempered_log_softmax(self.masked_logits(marginals), tau)
 
-    # -- discrete / relaxed front doors --------------------------------------
+    # -- front doors: rows built here from checked input, not checked again -
 
     def conditionals_from_tokens(self, tokens, tau: float) -> np.ndarray:
-        """Discrete mode: exact one-hot marginal rows for a token sequence."""
-        return self.conditionals(one_hot(tokens, self.shape[1]), tau)
+        """Discrete mode: ``conditionals`` on the exact one-hot rows of a
+        token sequence, whose tokens ``one_hot`` checks."""
+        if tau <= 0:
+            raise ValueError("temperature tau must be positive")
+        q = one_hot(tokens, self.shape[1])
+        if q.shape != self.shape:
+            raise ValueError(f"token sequence must have length {self.shape[0]}")
+        return softmax_rows(self._forward(q)[0] / tau)
 
     def log_conditionals_from_logits(self, logits, tau: float) -> np.ndarray:
-        """log ``conditionals`` on the softmax rows of logits the program
-        has already checked (a chain state or proposal)."""
-        return self.log_conditionals(softmax_rows(logits), tau)
-
-
-def _tempered_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
-    scaled = logits / tau
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    expd = np.exp(scaled)
-    return expd / expd.sum(axis=1, keepdims=True)
+        """``log_conditionals`` on the softmax rows of checked logits (a
+        chain state or proposal) at a checked ``tau``."""
+        return _tempered_log_softmax(self._forward(softmax_rows(logits))[0], tau)
 
 
 def _tempered_log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:

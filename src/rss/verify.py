@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, as_logits, cross_entropy, js_divergence, kl_divergence, one_hot
+from .core import Rng, _kl, as_logits, cross_entropy, kl_divergence, one_hot
 from .energy import EnergyModel
 from .sampler import SamplerConfig, mask_log_mass, mask_probabilities
 from .softplm import MaskedSequenceModel
@@ -93,7 +93,6 @@ class FidelityReport:
     spearman_mean: float
     spearman_median: float
     sample_count: int
-    per_site_spearman: list = field(default_factory=list)
 
 
 def onehot_fidelity(
@@ -141,7 +140,6 @@ def onehot_fidelity(
         spearman_mean=float(np.mean(rhos)) if rhos else float("nan"),
         spearman_median=float(np.median(rhos)) if rhos else float("nan"),
         sample_count=len(kls),
-        per_site_spearman=rhos,
     )
 
 
@@ -178,7 +176,7 @@ def mixture_consistency(
     from this suite's own stream. The reference averages discrete
     conditionals over k_mc sequences drawn from the blurred marginals.
     Reports mean Jensen-Shannon divergence and top-1 agreement over all
-    sites.
+    sites, one whole table at a time.
     """
     if k_mc < 1:
         raise ValueError("k_mc must be >= 1")
@@ -203,14 +201,14 @@ def mixture_consistency(
                     draw[site] = rng.categorical(marg[site])
                 p_mc += model.conditionals_from_tokens(draw, tau)
             p_mc /= k_mc
-            for site in range(length):
-                js_vals.append(js_divergence(p_soft[site], p_mc[site]))
-                hits += int(np.argmax(p_soft[site]) == np.argmax(p_mc[site]))
-                total += 1
+            mid = 0.5 * (p_soft + p_mc)
+            js_vals.append(0.5 * _kl(p_soft, mid) + 0.5 * _kl(p_mc, mid))
+            hits += int((np.argmax(p_soft, axis=1) == np.argmax(p_mc, axis=1)).sum())
+            total += length
         rows.append(
             MixtureRow(
                 eps=float(eps),
-                mean_js=float(np.mean(js_vals)),
+                mean_js=float(np.mean(np.concatenate(js_vals))),
                 top1_agreement=hits / total,
                 sample_count=total,
             )
@@ -303,9 +301,10 @@ def library_ranking(
     The baseline draws k_variants full variants per library (uniform over
     each site's options), scores each by the sum over edited sites of
     -log discrete conditional of the realized token, and aggregates by the
-    mean and the best (minimum) over variants. Returns the Spearman
-    correlation of the relaxed score against each aggregate across
-    libraries; a single library leaves the correlation undefined.
+    mean and the best (minimum) over variants; each distinct variant is
+    scored once. Returns the Spearman correlation of the relaxed score
+    against each aggregate across libraries; a single library leaves the
+    correlation undefined.
     """
     libraries = list(libraries)
     if k_variants < 1:
@@ -322,17 +321,18 @@ def library_ranking(
                 )
         soft_scores.append(library_score_soft(model, lib, tau))
         nlls = []
+        nll_of = {}                # variant bytes -> its NLL
         for _ in range(k_variants):
             variant = lib.tokens.copy()
             for site, opts in zip(lib.sites, lib.options):
                 variant[site] = opts[rng.integer(len(opts))]
-            cond = model.conditionals_from_tokens(variant, tau)
-            nll = -float(
-                np.log(
-                    np.maximum(cond[lib.sites, variant[lib.sites]], 1e-300)
-                ).sum()
-            )
-            nlls.append(nll)
+            key = variant.tobytes()
+            if key not in nll_of:
+                cond = model.conditionals_from_tokens(variant, tau)
+                nll_of[key] = -float(
+                    np.log(np.maximum(cond[lib.sites, variant[lib.sites]], 1e-300)).sum()
+                )
+            nlls.append(nll_of[key])
         mean_scores.append(float(np.mean(nlls)))
         best_scores.append(float(np.min(nlls)))
 

@@ -319,6 +319,38 @@ snapshot_stride = 25
         methods = json.loads((out / "campaign.json").read_text())["methods"]
         assert all(m["pooled_designable"] > 0 for m in methods.values())
 
+    # "validate": validation.json and validation.txt of the suite on a small
+    # model with the default k_mc and k_variants, so library ranking draws
+    # many repeated variants; same numpy and platform as above
+    VALIDATE_CONFIG = """
+[run]
+seed = 31
+
+[model]
+seed = 5
+width = 8
+length = 8
+vocab = 5
+
+[validate]
+n_sequences = 12
+n_libraries = 4
+"""
+    VALIDATE_PINNED = {
+        "validation.json":
+            "2f03e5287f185a092763e1011db42d6e96a559a6618fdfaf013f8c06148e0d84",
+        "validation.txt":
+            "e702a7875db5305d23e8afb609e0d465fde9a1f0008598b55baa3936ca3ed46b",
+    }
+
+    def test_validate(self, tmp_path):
+        cfg = write(tmp_path / "v.ini", self.VALIDATE_CONFIG)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+               for file in self.VALIDATE_PINNED}
+        assert got == self.VALIDATE_PINNED
+
 
 class TestValidate:
     CONFIG = """
@@ -515,9 +547,20 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "config error: prior weight lam must be >= 0\n"
 
     def test_zero_bench_seeds_exit_two(self, tmp_path, capsys):
+        # and it leaves no landscape.txt behind
         cfg = write(tmp_path / "x.ini", TestBench.CONFIG.replace("seeds = 2", "seeds = 0"))
         assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: seeds must be >= 1\n"
+        assert os.listdir(tmp_path / "o") == []
+
+    def test_planted_run_negative_lambda_leaves_out_dir_empty(self, tmp_path, capsys):
+        # a planted landscape is written only once the configuration is accepted
+        cfg = write(tmp_path / "x.ini", TestPinnedBytes.CONFIG.format(p_jump=0.3).replace(
+            "lambda = 0.1", "lambda = -0.1"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: prior weight lam must be >= 0\n"
+        assert os.listdir(out) == []
 
     def test_negative_bench_lam_exit_two(self, tmp_path, capsys):
         # it used to fail every rss and rso seed and still exit 0

@@ -179,6 +179,16 @@ class TestPairwise:
         np.testing.assert_allclose(energy.discrete_energies(batch), singles, atol=1e-14)
 
 
+    def test_negative_token_rejected(self):
+        # a -1 would otherwise index token K - 1, and designable_surrogate
+        # would score the row
+        energy = make_pairwise(Rng(9))
+        tokens = np.array([-1, 0, 1, 2, 3])
+        with pytest.raises(ValueError):
+            energy.discrete_energies(tokens[None, :])
+        with pytest.raises(ValueError):
+            energy.discrete_energy(tokens)
+
 class TestPlantedLandscape:
     def test_single_mode_is_global_minimum(self):
         land = planted_landscape(4, 3, 1, 1.5, Rng(20))

@@ -190,6 +190,21 @@ class TestLibraryRanking:
         assert report.n_libraries == 20
         assert report.spearman_mean >= 0.8
 
+    def test_one_forward_per_distinct_variant(self, model, monkeypatch):
+        # 3 edited sites with 3 options each: at most 27 distinct variants
+        # and one relaxed score per library, whatever k_variants is
+        calls = []
+        forward = MaskedSequenceModel._forward
+
+        def counted(self, q):
+            calls.append(1)
+            return forward(self, q)
+
+        monkeypatch.setattr(MaskedSequenceModel, "_forward", counted)
+        libs = random_libraries(8, 5, 2, Rng(83))
+        library_ranking(model, libs, Rng(84), k_variants=256)
+        assert len(calls) <= 2 * 28
+
     def test_warns_on_nonstandard_option_size(self, model):
         lib = Library(
             tokens=np.zeros(8, dtype=np.int64),
