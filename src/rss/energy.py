@@ -168,7 +168,8 @@ class PairwiseContactEnergy(EnergyModel):
         return float(self.discrete_energies(np.asarray(tokens)[None])[0])
 
     def discrete_energies(self, token_matrix: np.ndarray) -> np.ndarray:
-        """Vectorized discrete energies for an (N, L) batch of sequences."""
+        """Vectorized discrete energies for an (N, L) batch of sequences, with
+        one summation order: a row scores the same bits in any batch."""
         toks = np.asarray(token_matrix, dtype=np.int64)
         length, vocab = self.shape
         if toks.ndim != 2 or toks.shape[1] != length:
@@ -178,9 +179,9 @@ class PairwiseContactEnergy(EnergyModel):
         values = self.fields[np.arange(length), toks].sum(axis=1)
         if self.couplings.shape[0]:
             c_idx = np.arange(self.couplings.shape[0])
-            values = values + self.couplings[
-                c_idx, toks[:, self.idx_i], toks[:, self.idx_j]
-            ].sum(axis=1)
+            gathered = self.couplings[c_idx, toks[:, self.idx_i], toks[:, self.idx_j]]
+            # on this Fortran-ordered gather .sum(axis=1) is pairwise only for N = 1
+            values = values + np.cumsum(gathered, axis=1)[:, -1]
         return values
 
 
@@ -233,10 +234,11 @@ class LandscapeGenerationError(RuntimeError):
 
 
 MAX_ENUMERATION = 10_000_000
+ENUMERATION_BLOCK = 16_384  # rows; a block's index arrays and gathers stay near 16 MB
 
 
-def enumerate_token_space(length: int, vocab: int, chunk: int = 262_144):
-    """Yield (N, L) chunks covering all vocab**length token sequences.
+def enumerate_token_space(length: int, vocab: int):
+    """Yield (N, L) blocks of ENUMERATION_BLOCK rows covering all K^L sequences.
 
     Sequences are in lexicographic order with position 0 most significant.
     """
@@ -246,8 +248,8 @@ def enumerate_token_space(length: int, vocab: int, chunk: int = 262_144):
             f"K^L = {total} exceeds the enumeration cap {MAX_ENUMERATION}"
         )
     powers = vocab ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, ENUMERATION_BLOCK):
+        idx = np.arange(start, min(start + ENUMERATION_BLOCK, total), dtype=np.int64)
         yield (idx[:, None] // powers[None, :]) % vocab
 
 
@@ -260,13 +262,6 @@ def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
         out[pos : pos + toks.shape[0]] = energy.discrete_energies(toks)
         pos += toks.shape[0]
     return out
-
-
-def sequence_index(tokens, vocab: int) -> int:
-    """Lexicographic index of a token sequence in the enumeration order."""
-    toks = np.asarray(tokens, dtype=np.int64)
-    powers = vocab ** np.arange(toks.size - 1, -1, -1, dtype=np.int64)
-    return int((toks * powers).sum())
 
 
 @dataclass
@@ -374,26 +369,24 @@ def planted_landscape(
 def _verified_energies(energy: PairwiseContactEnergy, modes, depth: float,
                        designable_quantile: float) -> np.ndarray | None:
     """All discrete energies, read-only, if the modes pass the planted
-    checks; None otherwise."""
+    checks; None otherwise. Each mode's Hamming-1 check (one
+    ``discrete_energies`` call on its L*K one-site variants, scored as in the
+    table) runs first; the token space is enumerated only if all pass."""
     length, vocab = energy.shape
+    e_modes = []
+    for mode in modes:
+        variants = np.tile(mode, (length, vocab, 1))  # [i, t]: mode with site i set to t
+        variants[np.arange(length), :, np.arange(length)] = np.arange(vocab)
+        scores = energy.discrete_energies(variants.reshape(-1, length)).reshape(length, vocab)
+        e_modes.append(scores[0, mode[0]])
+        scores[np.arange(length), mode] = np.inf
+        if np.any(scores <= e_modes[-1]):
+            return None
     all_energies = enumerate_discrete_energies(energy)
     median = float(np.median(all_energies))
     threshold = float(np.quantile(all_energies, designable_quantile))
-
-    for mode in modes:
-        e_mode = all_energies[sequence_index(mode, vocab)]
-        if not (e_mode <= median - depth and e_mode < threshold):
-            return None
-        # strict local minimum over the Hamming-1 neighborhood
-        for i in range(length):
-            for tok in range(vocab):
-                if tok == mode[i]:
-                    continue
-                neighbor = mode.copy()
-                neighbor[i] = tok
-                if all_energies[sequence_index(neighbor, vocab)] <= e_mode:
-                    return None
-
+    if not all(e <= median - depth and e < threshold for e in e_modes):
+        return None
     all_energies.flags.writeable = False
     return all_energies
 

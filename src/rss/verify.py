@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, _kl, as_logits, cross_entropy, kl_divergence, one_hot
+from .core import Rng, _kl, as_logits, cross_entropy, kl_divergence, one_hot, softmax_rows
 from .energy import EnergyModel
 from .sampler import SamplerConfig, mask_log_mass, mask_probabilities
-from .softplm import MaskedSequenceModel
+from .softplm import MaskedSequenceModel, _tempered_log_softmax
 
 EPS_GRID_DEFAULT = (0.0, 0.2, 0.4, 0.6, 0.8)
 BLUR_FRACTION = 0.3
@@ -120,10 +120,10 @@ def onehot_fidelity(
     kls = []
     rhos = []
     for tokens in sequences:
-        marg = one_hot(tokens, vocab)
         discrete = model.conditionals_from_tokens(tokens, tau)
-        soft = model.conditionals(marg, tau)
-        soft_log = model.log_conditionals(marg, tau)
+        raw = model.masked_logits(one_hot(tokens, vocab))
+        soft = softmax_rows(raw / tau)
+        soft_log = _tempered_log_softmax(raw, tau)
         for _ in range(sites_per_sequence):
             site = rng.integer(length)
             kls.append(kl_divergence(discrete[site], soft[site]))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import rss.energy as energy_module
 
 from rss.core import Rng, finite_diff_gradient, one_hot, row_marginals
 from rss.energy import (
@@ -13,7 +17,6 @@ from rss.energy import (
     load_landscape,
     planted_landscape,
     save_landscape,
-    sequence_index,
 )
 from rss.bench import run_rso
 from rss.sampler import ChainState
@@ -31,6 +34,11 @@ def gradient_check(energy, rng, points=100, rel=1e-5, floor=1e-8):
         err = np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), floor / rel))
         worst = max(worst, err)
     return worst
+
+
+def sequence_index(tokens, vocab):
+    """Lexicographic index of a token sequence, position 0 most significant."""
+    return int(sum(int(t) * vocab**p for p, t in enumerate(reversed(list(tokens)))))
 
 
 def make_pairwise(rng, length=L, vocab=K):
@@ -172,11 +180,23 @@ class TestPairwise:
         assert abs(energy.discrete_energy(tokens) - e_cont) < 1e-12
 
     def test_discrete_energies_batch(self):
-        rng = Rng(8)
-        energy = make_pairwise(rng)
-        batch = np.array([[rng.integer(K) for _ in range(L)] for _ in range(40)])
-        singles = [energy.discrete_energy(t) for t in batch]
-        np.testing.assert_allclose(energy.discrete_energies(batch), singles, atol=1e-14)
+        # one row scores the same bits as in any batch: the 8x5 case is the
+        # demo-04 shape (all 28 contacts), the 48x20 one has 240 contacts
+        gen = np.random.default_rng(8)
+        pairs = [(i, j) for i in range(48) for j in range(i + 1, 48)]
+        sparse = [pairs[c] for c in gen.choice(len(pairs), 240, replace=False)]
+        cases = [
+            (make_pairwise(Rng(8)), 40),
+            (make_pairwise(Rng(9), 8, 5), 2000),
+            (PairwiseContactEnergy(
+                [(i, j, gen.standard_normal((20, 20))) for i, j in sparse],
+                gen.standard_normal((48, 20))), 2000),
+        ]
+        for energy, rows in cases:
+            length, vocab = energy.shape
+            batch = gen.integers(0, vocab, size=(rows, length))
+            singles = [energy.discrete_energy(t) for t in batch]
+            np.testing.assert_array_equal(energy.discrete_energies(batch), singles)
 
 
     def test_negative_token_rejected(self):
@@ -242,6 +262,70 @@ class TestPlantedLandscape:
         path = tmp_path / "landscape.txt"
         save_landscape(land, path)
         np.testing.assert_array_equal(load_landscape(path).energies, energies)
+
+    def test_certification_enumerates_once(self, monkeypatch):
+        # seed 7's first draw fails the modes' Hamming-1 check, which runs
+        # before any enumeration
+        calls = []
+
+        def counted(energy):
+            calls.append(energy)
+            return enumerate_discrete_energies(energy)
+
+        monkeypatch.setattr(energy_module, "enumerate_discrete_energies", counted)
+        planted_landscape(8, 5, 5, 3.0, Rng(7))
+        assert len(calls) == 1
+
+    def test_enumeration_memory_is_bounded(self):
+        land = planted_landscape(8, 5, 5, 3.0, Rng(7))
+        tracemalloc.start()
+        try:
+            energies = enumerate_discrete_energies(land.energy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energies.nbytes == 8 * 5**8
+        assert peak < 16e6
+
+    def test_checks_decide_as_on_the_full_table(self, monkeypatch):
+        # reference: enumerate first, then check every mode on the table
+        def enumerate_then_check(energy, modes, depth, designable_quantile):
+            length, vocab = energy.shape
+            table = enumerate_discrete_energies(energy)
+            median = float(np.median(table))
+            threshold = float(np.quantile(table, designable_quantile))
+            for mode in modes:
+                e_mode = table[sequence_index(mode, vocab)]
+                if not (e_mode <= median - depth and e_mode < threshold):
+                    return None
+                for i in range(length):
+                    for tok in range(vocab):
+                        if tok == mode[i]:
+                            continue
+                        neighbor = mode.copy()
+                        neighbor[i] = tok
+                        if table[sequence_index(neighbor, vocab)] <= e_mode:
+                            return None
+            table.flags.writeable = False
+            return table
+
+        def outcomes():
+            results = []
+            for shape in [(3, 2, 4, 1.0), (3, 3, 4, 0.5), (4, 2, 3, 1.0),
+                          (4, 4, 6, 1.0), (5, 5, 10, 2.0), (6, 4, 4, 0.2)]:
+                for seed in range(4):
+                    try:
+                        land = planted_landscape(*shape, Rng(seed))
+                        results.append((land.energies.tobytes(), land.modes.tobytes()))
+                    except LandscapeGenerationError as exc:
+                        results.append(str(exc))
+            return results
+
+        fresh = outcomes()
+        monkeypatch.setattr(energy_module, "_verified_energies", enumerate_then_check)
+        assert fresh == outcomes()
+        assert any(isinstance(r, str) for r in fresh)
+        assert any(isinstance(r, tuple) for r in fresh)
 
     def test_generation_failure_raises(self):
         # more modes than sequences with pairwise Hamming >= 2 can exist

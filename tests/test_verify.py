@@ -91,6 +91,19 @@ class TestOnehotFidelity:
         report = onehot_fidelity(model, seqs, Rng(66), sites_per_sequence=1)
         assert report.sample_count == 1
 
+    def test_two_forwards_per_sequence(self, model, monkeypatch):
+        # one discrete and one relaxed forward feed all three tables
+        calls = []
+        forward = MaskedSequenceModel._forward
+
+        def counted(self, q):
+            calls.append(1)
+            return forward(self, q)
+
+        monkeypatch.setattr(MaskedSequenceModel, "_forward", counted)
+        onehot_fidelity(model, random_sequences(8, 5, 6, Rng(68)), Rng(69))
+        assert len(calls) == 2 * 6
+
     def test_empty_sequences_rejected(self, model):
         with pytest.raises(ValueError):
             onehot_fidelity(model, np.zeros((0, 8), dtype=np.int64), Rng(67))
