@@ -180,8 +180,12 @@ class PairwiseContactEnergy(EnergyModel):
         if self.couplings.shape[0]:
             c_idx = np.arange(self.couplings.shape[0])
             gathered = self.couplings[c_idx, toks[:, self.idx_i], toks[:, self.idx_j]]
-            # on this Fortran-ordered gather .sum(axis=1) is pairwise only for N = 1
-            values = values + np.cumsum(gathered, axis=1)[:, -1]
+            # a running sum in contact order; on this Fortran-ordered gather
+            # .sum(axis=1) is pairwise for N = 1, and each column is contiguous
+            coupling = gathered[:, 0].copy()
+            for column in range(1, gathered.shape[1]):
+                coupling += gathered[:, column]
+            values = values + coupling
         return values
 
 

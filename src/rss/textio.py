@@ -58,4 +58,9 @@ def read_blocks(path) -> tuple[dict, list]:
             else:
                 key, value = line.split(maxsplit=1)
                 header[key] = value
+    for tag, rows in blocks:
+        for number, row in enumerate(rows, 1):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"{path}: block [{tag}] is ragged: row 1 has "
+                                 f"{len(rows[0])} values, row {number} has {len(row)}")
     return header, [(tag, np.array(rows)) for tag, rows in blocks]

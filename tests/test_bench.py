@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -218,12 +219,41 @@ class TestCampaign:
         monkeypatch.setattr(bench, "_run_one_seed", fail)
         landscape = planted_landscape(4, 3, 2, 1.0, Rng(0))
         cfg = self.make_config(landscape, None, seeds=2, methods=("rso",), lam=0.0)
-        res = run_campaign(cfg).results["rso"]
-        assert res.failed_seeds == [0, 1]
-        assert res.failure_reasons == ["KeyError: 'seed 0'", "KeyError: 'seed 1'"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no "Mean of empty slice"
-            assert res.median_designable is None and res.median_clusters is None
+        for cpus in (1, 2):  # in this process, then in two workers
+            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+            res = run_campaign(cfg).results["rso"]
+            assert res.failed_seeds == [0, 1]
+            assert res.failure_reasons == ["KeyError: 'seed 0'", "KeyError: 'seed 1'"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no "Mean of empty slice"
+                assert res.median_designable is None and res.median_clusters is None
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="worker processes need fork")
+    def test_workers_give_the_serial_bytes(self, landscape, model, monkeypatch):
+        calls = []
+        run_task = bench._run_task
+
+        def counted(*args):
+            calls.append(args[1:])
+            return run_task(*args)
+
+        monkeypatch.setattr(bench, "_run_task", counted)
+        cfg = self.make_config(landscape, model, seeds=3, methods=("rss", "rso", "rso-noplm"))
+        tasks = [(m, i) for m in cfg.methods for i in range(3)]
+        reports = {}
+        for cpus in (1, 2, 4):
+            calls.clear()
+            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+            reports[cpus] = run_campaign(cfg)
+            # the serial run calls every task here, in order; a pool runs
+            # them in its workers
+            assert calls == (tasks if cpus == 1 else [])
+            assert multiprocessing.active_children() == []
+        for cpus in (2, 4):
+            assert reports[cpus].to_json() == reports[1].to_json()
+            assert reports[cpus].curve_csv() == reports[1].curve_csv()
 
     def test_invalid_method_rejected(self, landscape, model):
         with pytest.raises(ValueError):

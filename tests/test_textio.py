@@ -6,8 +6,10 @@ and the write side fails here.
 """
 
 import numpy as np
+import pytest
 
-from rss.energy import load_landscape, save_landscape
+from rss.core import Rng
+from rss.energy import load_landscape, planted_landscape, save_landscape
 from rss.sampler import load_snapshots, save_snapshots
 from rss.softplm import load_model, save_model
 
@@ -130,3 +132,17 @@ def test_snapshot_file(tmp_path):
     again = tmp_path / "again.txt"
     save_snapshots(again, snapshots, (2, 2), comment="rss-version=0.1.0 seed=7")
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_ragged_block_names_file_block_and_lengths(tmp_path):
+    path = tmp_path / "landscape.txt"
+    save_landscape(planted_landscape(4, 3, 2, 1.0, Rng(0)), path)
+    lines = path.read_text().splitlines()
+    first_mode = lines.index("[modes]") + 1
+    lines[first_mode] = lines[first_mode].rsplit(" ", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_landscape(path)
+    message = str(info.value)
+    assert str(path) in message and "[modes]" in message
+    assert "row 1 has 3 values, row 2 has 4" in message
