@@ -80,13 +80,14 @@ _SAMPLER_SCHEMA = {
     if f.name != "steps"
 }
 
+# `rss run` and `rss bench` size the model from the energy; `validate` and
+# `calibrate` have no energy and read its size from [model]
 _MODEL_SCHEMA = {
     "file": (str, ""),
     "seed": (int, 0),
     "width": (int, 16),
-    "length": (int, 32),
-    "vocab": (int, 20),
 }
+_SIZED_MODEL_SCHEMA = dict(_MODEL_SCHEMA, length=(int, 32), vocab=(int, 20))
 
 _SCHEMAS = {
     "run": {
@@ -113,7 +114,7 @@ _SCHEMAS = {
     },
     "validate": {
         "run": {"seed": (int, REQUIRED), "out": (str, "")},
-        "model": _MODEL_SCHEMA,
+        "model": _SIZED_MODEL_SCHEMA,
         "validate": {
             "n_sequences": (int, 100),
             "n_libraries": (int, 20),
@@ -124,7 +125,7 @@ _SCHEMAS = {
     },
     "calibrate": {
         "run": {"seed": (int, REQUIRED), "out": (str, "")},
-        "model": _MODEL_SCHEMA,
+        "model": _SIZED_MODEL_SCHEMA,
         "calibrate": {
             "n_contexts": (int, 200),
             "reference_file": (str, ""),
@@ -230,15 +231,19 @@ def _meta(seed: int) -> dict:
     return {"version": __version__, "seed": seed}
 
 
-def _build_model(model_cfg: dict, length: int | None = None, vocab: int | None = None):
+def _build_model(model_cfg: dict, shape: tuple[int, int] | None = None):
+    """The configured masked model. ``shape`` is the energy's (L, K): a
+    random model takes it, and a model file must have it. Without it the
+    size comes from [model] length and vocab."""
     if model_cfg["file"]:
-        return load_model(model_cfg["file"])
-    return MaskedSequenceModel.random(
-        length=length if length is not None else model_cfg["length"],
-        vocab=vocab if vocab is not None else model_cfg["vocab"],
-        width=model_cfg["width"],
-        rng=Rng(model_cfg["seed"]),
-    )
+        model = load_model(model_cfg["file"])
+        if shape is not None and model.shape != shape:
+            raise ConfigError(f"model file {model_cfg['file']} has shape {model.shape}, "
+                              f"but the energy has shape {shape}")
+        return model
+    length, vocab = shape if shape is not None else (model_cfg["length"], model_cfg["vocab"])
+    return MaskedSequenceModel.random(length=length, vocab=vocab,
+                                      width=model_cfg["width"], rng=Rng(model_cfg["seed"]))
 
 
 def _landscape(section: dict, path: str) -> PlantedLandscape:
@@ -292,7 +297,7 @@ def cmd_run(values: dict, out: str) -> int:
 
     base, planted = _build_base_energy(values["energy"])
     # the jump kernel needs a model even when the prior weight is zero
-    model = _build_model(values["model"], length=base.shape[0], vocab=base.shape[1])
+    model = _build_model(values["model"], base.shape)
     energy = _from_config(compose_energy, base, values["energy"]["ridge_scale"], model,
                           values["energy"]["lambda"], sampler_cfg.tau)
     if planted is not None:
@@ -401,8 +406,7 @@ def cmd_bench(values: dict, out: str) -> int:
     sampler_cfg = _from_config(SamplerConfig, **values["sampler"])
 
     landscape = _landscape(bcfg, bcfg["landscape_file"])
-    shape = landscape.energy.shape
-    model = _build_model(values["model"], length=shape[0], vocab=shape[1])
+    model = _build_model(values["model"], landscape.energy.shape)
     methods = tuple(m.strip() for m in bcfg["methods"].split(",") if m.strip())
     campaign = _from_config(
         CampaignConfig,

@@ -144,13 +144,6 @@ class PairwiseContactEnergy(EnergyModel):
     def shape(self) -> tuple[int, int]:
         return self.fields.shape
 
-    @property
-    def contacts(self):
-        return [
-            (int(i), int(j), self.couplings[c])
-            for c, (i, j) in enumerate(zip(self.idx_i, self.idx_j))
-        ]
-
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
         q = softmax_rows(logits)
         value = float((q * self.fields).sum())

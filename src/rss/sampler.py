@@ -25,9 +25,6 @@ from .softplm import MaskedSequenceModel
 from .textio import read_blocks, write_blocks
 
 MASK_MODES = ("paper", "exact")
-# sample_mask draws by rejection while Z(p) is at least this (at most 8
-# expected attempts per mask) and directly below it
-REJECTION_MIN_Z = 0.125
 
 
 class MaskSamplingError(RuntimeError):
@@ -239,41 +236,37 @@ def sample_mask(
 ) -> tuple[np.ndarray, float]:
     """Draw a site set from the Bernoulli product conditioned on 1 <= |S| <= s_max.
 
-    While Z(p) >= REJECTION_MIN_Z the draw is by rejection: whole Bernoulli
-    vectors until one fits, at most 1 / REJECTION_MIN_Z expected attempts.
-    Below that the same law is drawn directly (conditional-Bernoulli
-    sampling, Chen, Dempster & Liu 1994): |S| from the truncated size
-    distribution, then sites from the last to the first, site i taken with
+    Conditional-Bernoulli sampling (Chen, Dempster & Liu 1994) from the size
+    table: |S| = k by inverse CDF over P(|S| = k), k = 1..s_max, summed in
+    index order; then sites from the last to the first, site i taken with
     probability p_i P(k-1 among sites < i) / P(k among sites <= i) while k
-    remain to place. Raises MaskSamplingError only when Z(p) = 0.
+    remain to place. One uniform for the size and at most one per site.
+    Raises MaskSamplingError only when Z(p) = 0.
 
     Returns the sorted site indices and their log mass under ``mask_mode``
     (see ``mask_log_mass``).
     """
     probs = np.asarray(probs, dtype=np.float64)
     table, z = _size_table(probs, s_max)
-    if z >= REJECTION_MIN_Z:
-        while True:
-            draws = rng.bernoulli(probs)
-            if 1 <= int(draws.sum()) <= s_max:
-                sites = np.flatnonzero(draws)
-                break
-    elif z > 0.0:
-        k = rng.categorical(table[-1][1:]) + 1
-        picked = []
-        plist = probs.tolist()
-        for i in range(probs.size - 1, -1, -1):
-            if rng.uniform() * table[i + 1][k] < plist[i] * table[i][k - 1]:
-                picked.append(i)
-                k -= 1
-                if k == 0:
-                    break
-        sites = np.array(picked[::-1], dtype=np.int64)
-    else:
+    if z <= 0.0:
         raise MaskSamplingError(
             f"no mask with 1 <= |S| <= {s_max} has positive probability "
             f"(sum p = {probs.sum():.3g})"
         )
+    cdf = [table[-1][1]]
+    for mass in table[-1][2:]:
+        cdf.append(cdf[-1] + mass)
+    u = rng.uniform() * cdf[-1]
+    k = 1 + next((j for j, c in enumerate(cdf) if c > u), len(cdf) - 1)
+    picked = []
+    plist = probs.tolist()
+    for i in range(probs.size - 1, -1, -1):
+        if rng.uniform() * table[i + 1][k] < plist[i] * table[i][k - 1]:
+            picked.append(i)
+            k -= 1
+            if k == 0:
+                break
+    sites = np.array(picked[::-1], dtype=np.int64)
     raw = _log_product(sites, probs)
     return sites, raw if mask_mode == "paper" else raw - float(np.log(z))
 

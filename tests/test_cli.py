@@ -4,6 +4,8 @@ import os
 
 from rss import bench
 from rss.cli import main
+from rss.core import Rng
+from rss.softplm import MaskedSequenceModel, save_model
 
 
 RUN_CONFIG = """
@@ -157,9 +159,8 @@ width = 8
 
 
 class TestLongSequences:
-    # At these lengths Z(p) is far below the rejection cutoff, so every jump
-    # mask comes from the direct draw; rejection needed about 1 / Z(p)
-    # Bernoulli vectors per mask and gave up at L = 48.
+    # At these lengths Z(p) is tiny, and every jump must still draw a mask
+    # of 1 to s_max sites.
     CONFIG = """
 [run]
 seed = 1
@@ -202,6 +203,11 @@ class TestPinnedBytes:
     # means to move them must record the old and new hashes and the reason.
     # "mixture": both kernels, adapt_eta, burn-in ends inside the run.
     # "walk-only": p_jump = 0, so jump_acceptance is null.
+    # "direct": the run-32x20 benchmark energy (target profile, L = 32,
+    # K = 20, kappa 0.4), where Z(p) stays below 0.03 at every jump. Its
+    # hashes were taken while masks with Z(p) >= 0.125 were still drawn by
+    # rejection; they show that the size draw kept its bits on the chains
+    # that already took the direct draw.
     CONFIG = """
 [run]
 seed = 23
@@ -231,24 +237,57 @@ lambda = 0.1
 seed = 3
 width = 8
 """
+    DIRECT_CONFIG = """
+[run]
+seed = 31
+steps = 300
+snapshot_stride = 100
+
+[sampler]
+beta = 1.2
+eta = 0.1
+p_jump = 0.2
+kappa = 0.4
+gamma = 2.5
+adapt_eta = true
+burn_in = 100
+
+[energy]
+kind = target-profile
+length = 32
+vocab = 20
+landscape_seed = 7
+ridge_scale = 2.5
+lambda = 0.1
+
+[model]
+seed = 3
+width = 16
+"""
     PINNED = {
-        "mixture": (0.3, {
+        "mixture": (CONFIG.format(p_jump=0.3), {
             "summary.json":
-                "4bd2c5a98ff4c651c832ce024d6eded38bd480588d40fd00ce032a961ef331de",
+                "f06075090b5d59bceda994244b1955d813fdbbcc1581067e2763e7f3a4e24dc1",
             "trace.csv":
-                "97954ede6208edeb9878ca507a9fd562f67d090edd453cd73503725c1439ab1b",
+                "d5a93f65b109b4f9a411244ab7302450c6cef4ca3c8c8d2c11647f689ae70d6e",
         }),
-        "walk-only": (0.0, {
+        "walk-only": (CONFIG.format(p_jump=0.0), {
             "summary.json":
                 "a1e733eafae85c3defe1d23ac52b46f08137e24336278727a926e9f81bc35371",
             "trace.csv":
                 "e3c6d47886439afa3779eb8212a75b33fc7b3236b9aba63d3b0467291498dba4",
         }),
+        "direct": (DIRECT_CONFIG, {
+            "summary.json":
+                "70ae7ff1d245bd6080060d455fb8b6f196cd161347b50b18c12468a4b4c8ba95",
+            "trace.csv":
+                "fec2a8020dc28bea2a941688ef9cc27ed56841756fe7026823b3b7a92d51e71b",
+        }),
     }
 
     def run_case(self, tmp_path, name):
-        p_jump, pinned = self.PINNED[name]
-        cfg = write(tmp_path / "run.ini", self.CONFIG.format(p_jump=p_jump))
+        config, pinned = self.PINNED[name]
+        cfg = write(tmp_path / "run.ini", config)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
@@ -266,6 +305,10 @@ width = 8
         assert summary["jump_proposals"] == 0
         assert summary["jump_acceptance"] is None
         assert summary["min_energy_step"] > 0
+
+    def test_direct_draw_run(self, tmp_path):
+        summary = self.run_case(tmp_path, "direct")
+        assert summary["jump_proposals"] > 0 and summary["jump_accepts"] > 0
 
     # "bench": a two-seed rss/rso campaign on the same planted 6 x 4
     # landscape. It pins the designable counts, the clusters and every
@@ -302,9 +345,9 @@ snapshot_stride = 25
 """
     BENCH_PINNED = {
         "campaign.json":
-            "4be4f2ed4597fbcdaa67baa098c8b1e96635cecf0d8e9791b59b362ecbe3fc97",
+            "117503c00cef3eb01801555f95173a3a6cf1c10b3a2cde59b5f641d69c7f1e5c",
         "curve.csv":
-            "00aa44ce0a32c385266b9c5d65d294300657c83e775ce6d56900503799a8e063",
+            "ab6e68c16770510933cf973b2293653223234e24f4fa1b51d1ce153504870bc3",
         "landscape.txt":
             "0bab8bc2a0e7ee679bbeb712b7582d61052d98b41c2bdb4db27a19a32e20df93",
     }
@@ -567,3 +610,38 @@ class TestConfigErrors:
         cfg = write(tmp_path / "x.ini", TestBench.CONFIG.replace("lam = 0.1", "lam = -0.1"))
         assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: prior weight lam must be >= 0\n"
+
+    # a 10 x 5 model file for the planted 6 x 4 energy: with no prior term
+    # `rss run` used to fail at its first jump with a numpy error, after
+    # writing landscape.txt and part of trace.csv, and `rss bench` failed
+    # every seed
+
+    def check_wrong_model_shape(self, tmp_path, capsys, command, text):
+        model_file = tmp_path / "model.txt"
+        save_model(MaskedSequenceModel.random(10, 5, 8, Rng(3)), model_file)
+        cfg = write(tmp_path / "x.ini",
+                    text.replace("[model]\n", f"[model]\nfile = {model_file}\n"))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: model file {model_file} has shape (10, 5), "
+            "but the energy has shape (6, 4)\n")
+        assert os.listdir(out) == []
+
+    def test_run_model_file_of_wrong_shape_exit_two(self, tmp_path, capsys):
+        text = TestPinnedBytes.CONFIG.format(p_jump=0.3).replace("lambda = 0.1", "lambda = 0.0")
+        self.check_wrong_model_shape(tmp_path, capsys, "run", text)
+
+    def test_bench_model_file_of_wrong_shape_exit_two(self, tmp_path, capsys):
+        self.check_wrong_model_shape(tmp_path, capsys, "bench", TestPinnedBytes.BENCH_CONFIG)
+
+    def test_model_size_keys_exit_two_in_run_and_bench(self, tmp_path, capsys):
+        # both commands size the model from the energy, so [model] length
+        # and vocab would be ignored
+        for command, text in (("run", TestPinnedBytes.CONFIG.format(p_jump=0.3)),
+                              ("bench", TestPinnedBytes.BENCH_CONFIG)):
+            for key in ("length", "vocab"):
+                cfg = write(tmp_path / "x.ini",
+                            text.replace("[model]\n", f"[model]\n{key} = 99\n"))
+                assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+                assert f"unknown key '{key}' in section [model]" in capsys.readouterr().err

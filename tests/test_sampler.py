@@ -12,7 +12,6 @@ from rss.sampler import (
     ChainState,
     JumpProposal,
     MaskSamplingError,
-    REJECTION_MIN_Z,
     SamplerConfig,
     WalkProposal,
     ess_and_autocorr,
@@ -239,7 +238,7 @@ class TestSampleMask:
             sample_mask(np.ones(5), 3, rng, "exact")
 
     def test_tiny_probabilities_draw_a_mask(self):
-        # Z(p) is about 4e-12, far below the rejection cutoff
+        # Z(p) is about 4e-12
         p = np.full(4, 1e-12)
         sites, log_mass = sample_mask(p, 4, Rng(12), "exact")
         assert sites.size == 1
@@ -262,55 +261,32 @@ class TestSampleMask:
             s_max = int(gen.integers(1, 12))
             assert mask_normalizer(p, s_max) == numpy_normalizer(p, s_max)
 
-    def test_rejection_path_replays_old_loop(self):
-        def rejection_draw(probs, s_max, rng):
-            while True:
-                draws = rng.bernoulli(probs)
-                if 1 <= int(draws.sum()) <= s_max:
-                    sites = np.flatnonzero(draws)
-                    return sites, mask_log_mass(sites, probs, s_max, "exact")
-
-        gen = np.random.default_rng(15)
-        replayed = 0
-        for trial in range(20):
-            p = gen.random(int(gen.integers(2, 12))) * 0.5
-            s_max = int(gen.integers(1, 4))
-            if mask_normalizer(p, s_max) < REJECTION_MIN_Z:
-                continue
-            new_rng, old_rng = Rng(trial), Rng(trial)
-            for _ in range(20):
-                sites, log_mass = sample_mask(p, s_max, new_rng, "exact")
-                old_sites, old_log_mass = rejection_draw(p, s_max, old_rng)
-                np.testing.assert_array_equal(sites, old_sites)
-                assert log_mass == old_log_mass
-                assert new_rng._gen.bit_generator.state == old_rng._gen.bit_generator.state
-            replayed += 1
-        assert replayed >= 10
-
     def test_direct_draw_frequencies_at_length_48(self):
-        # every eighth site likely, the rest not: Z(p) ~ 3e-5, so the draw is
-        # direct; the law is checked on all 18,472 sets with |S| <= 3
+        # the law is checked on all 18,472 sets with |S| <= 3, at both ends of
+        # Z(p): every eighth site likely and the rest not (Z ~ 3e-5), and
+        # every site unlikely (Z ~ 0.61)
         length, s_max, n = 48, 3, 10_000
-        p = np.where(np.arange(length) % 8 == 0, 0.8, 0.2)
-        assert mask_normalizer(p, s_max) < REJECTION_MIN_Z
         sets = [s for r in range(1, s_max + 1)
                 for s in itertools.combinations(range(length), r)]
         assert len(sets) == 18_472
         index = {s: i for i, s in enumerate(sets)}
-        expected = n * np.exp([mask_log_mass(list(s), p, s_max, "exact") for s in sets])
-        counts = np.zeros(len(sets))
-        rng = Rng(21)
-        for _ in range(n):
-            sites, _ = sample_mask(p, s_max, rng, "exact")
-            counts[index[tuple(sites.tolist())]] += 1
-        # cells expecting fewer than 5 draws are pooled by set size
-        small = expected < 5
         size = np.array([len(s) for s in sets])
-        obs = [counts[~small]] + [[counts[small & (size == r)].sum()] for r in (1, 2, 3)]
-        exp = [expected[~small]] + [[expected[small & (size == r)].sum()] for r in (1, 2, 3)]
-        obs, exp = np.concatenate(obs), np.concatenate(exp)
-        keep = exp > 0
-        assert stats.chisquare(obs[keep], exp[keep]).pvalue > 1e-3
+        low_z = np.where(np.arange(length) % 8 == 0, 0.8, 0.2)
+        high_z = np.full(length, 0.02)
+        for p, seed in ((low_z, 21), (high_z, 22)):
+            expected = n * np.exp([mask_log_mass(list(s), p, s_max, "exact") for s in sets])
+            counts = np.zeros(len(sets))
+            rng = Rng(seed)
+            for _ in range(n):
+                sites, _ = sample_mask(p, s_max, rng, "exact")
+                counts[index[tuple(sites.tolist())]] += 1
+            # cells expecting fewer than 5 draws are pooled by set size
+            small = expected < 5
+            obs = [counts[~small]] + [[counts[small & (size == r)].sum()] for r in (1, 2, 3)]
+            exp = [expected[~small]] + [[expected[small & (size == r)].sum()] for r in (1, 2, 3)]
+            obs, exp = np.concatenate(obs), np.concatenate(exp)
+            keep = exp > 0
+            assert stats.chisquare(obs[keep], exp[keep]).pvalue > 1e-3
 
     def test_paper_exact_differ_by_normalizer(self):
         rng = Rng(13)
