@@ -180,6 +180,12 @@ class CampaignConfig:
             raise ValueError("step_budget must be >= 0")
         if self.lam < 0:
             raise ValueError("prior weight lam must be >= 0")
+        if self.ridge_scale < 0:
+            raise ValueError("ridge_scale must be >= 0")
+        if self.snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be >= 1")
+        if not 0.0 <= self.designable_quantile <= 1.0:
+            raise ValueError("designable_quantile must lie in [0, 1]")
         if self.lam > 0 and self.model is None and (
             "rss" in self.methods or "rso" in self.methods
         ):
@@ -268,6 +274,8 @@ def compose_energy(
 ) -> EnergyModel:
     """base (+ ridge Gaussian, weight 1) (+ lam * SoftPlm at tau), nested in
     that order; a zero ridge_scale or lam leaves its term out."""
+    if ridge_scale < 0:
+        raise ValueError("ridge_scale must be >= 0")
     energy = base
     if ridge_scale > 0:
         # bounded coupling energies make exp(-beta E) improper over logit

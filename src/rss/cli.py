@@ -294,6 +294,8 @@ def _build_base_energy(energy_cfg: dict):
 def cmd_run(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     sampler_cfg = _from_config(SamplerConfig, steps=values["run"]["steps"], **values["sampler"])
+    if values["run"]["snapshot_stride"] < 1:
+        raise ConfigError("snapshot_stride must be >= 1")
 
     base, planted = _build_base_energy(values["energy"])
     # the jump kernel needs a model even when the prior weight is zero

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, _kl, as_logits, cross_entropy, kl_divergence, one_hot, softmax_rows
+from .core import (LOG_FLOOR, Rng, _kl, as_logits, cross_entropy, kl_divergence, one_hot,
+                   softmax_rows)
 from .energy import EnergyModel
 from .sampler import SamplerConfig, mask_log_mass, mask_probabilities
 from .softplm import MaskedSequenceModel, _tempered_log_softmax
@@ -393,15 +394,16 @@ def enumerate_jump_flow(
 
     Sums, over every auxiliary realization (mask set, forward tokens,
     reference tokens) that maps one state to the other,
-      exp(-beta E) * P(mask) * prod p_model(forward token) * (1/K)^|S| * alpha,
-    where P(mask) is the true mask probability (the Bernoulli product
-    conditioned on 1 <= |S| <= s_max) and
-    alpha is the acceptance exactly as the sampler computes it under
-    cfg.mask_mode. In ``exact`` mode forward and reverse flows agree; in
-    ``paper`` mode their log ratio equals log Z(p(b)) - log Z(p(a)).
+      exp(-beta E) * P(mask) * prod p_model(forward token) * (1/K)^|S| * alpha.
+    P(mask) is the true mask law, computed here and not by the sampler: the
+    Bernoulli product conditioned on 1 <= |S| <= s_max, log P(S) = sum_{i in S}
+    o_i - log Z with log odds o_i = log p_i - log(1 - p_i) and Z summed over
+    every such set. alpha is the acceptance as the sampler computes it, with
+    ``mask_log_mass`` under cfg.mask_mode. In ``exact`` mode forward and reverse
+    flows agree; in ``paper`` mode their log ratio is log Z(p(b)) - log Z(p(a)).
 
-    Only small instances are supported (the realization count grows as
-    K^|identity sites|); intended for L <= 4, K <= 4, s_max <= 2.
+    A pair that changes c sites has sum_e C(L - c, e) K^e realizations per
+    direction, e <= s_max - c (433,341 for one site at L = 48, K = 20, s_max = 3).
     """
     a = as_logits(logits_a, energy.shape)
     b = as_logits(logits_b, energy.shape)
@@ -419,50 +421,45 @@ def enumerate_jump_flow(
     log_cond_a = model.log_conditionals_from_logits(a, cfg.tau)
     log_cond_b = model.log_conditionals_from_logits(b, cfg.tau)
 
-    core_sites = [site for site, _, _ in core]
+    core_sites, y_plus, y_minus = np.array(core, dtype=np.int64).reshape(-1, 3).T
     identity_sites = [i for i in range(length) if i not in core_sites]
     log_k = float(np.log(vocab))
 
-    def directional_terms(e_from, e_to, p_from, p_to, lc_from, lc_to, swaps):
-        # swaps: list of (site, forward token, reference token) for the core
+    def site_sets(pool, n):  # every n-subset of pool, one per row
+        combos = list(itertools.combinations(pool, n))
+        return np.array(combos, dtype=np.int64).reshape(len(combos), n)
+
+    def directional_terms(e_from, e_to, p_from, p_to, lc_from, lc_to, core_fwd, core_ref):
+        odds = np.log(np.maximum(p_from, LOG_FLOOR)) - np.log(np.maximum(1.0 - p_from, LOG_FLOOR))
+        sums = [odds[site_sets(range(length), n)].sum(axis=1) for n in range(1, cfg.s_max + 1)]
+        log_z = _logsumexp(np.concatenate(sums))
         terms = []
-        max_extra = cfg.s_max - len(swaps)
-        for n_extra in range(0, max_extra + 1):
-            for extra in itertools.combinations(identity_sites, n_extra):
-                sites = np.array(sorted(core_sites + list(extra)), dtype=np.int64)
+        for n_extra in range(cfg.s_max - core_sites.size + 1):
+            # one row per choice of identity tokens on the extra sites
+            idle = np.array(list(itertools.product(range(vocab), repeat=n_extra)), dtype=np.int64)
+            fwd = np.hstack([np.tile(core_fwd, (len(idle), 1)), idle])
+            ref = np.hstack([np.tile(core_ref, (len(idle), 1)), idle])
+            for extra in site_sets(identity_sites, n_extra):
+                sites = np.concatenate([core_sites, extra])
                 if sites.size < 1:
                     continue
-                swap_map = {site: (yp, ym) for site, yp, ym in swaps}
-                for idet in itertools.product(range(vocab), repeat=n_extra):
-                    assign = dict(swap_map)
-                    for site, y in zip(extra, idet):
-                        assign[site] = (y, y)
-                    fwd = np.array([assign[s][0] for s in sites])
-                    ref = np.array([assign[s][1] for s in sites])
-                    log_mask_true = mask_log_mass(sites, p_from, cfg.s_max, "exact")
-                    log_draw = float(lc_from[sites, fwd].sum()) - log_k * sites.size
-                    log_alpha = min(
-                        0.0,
-                        -cfg.beta * (e_to - e_from)
-                        + mask_log_mass(sites, p_to, cfg.s_max, cfg.mask_mode)
-                        - mask_log_mass(sites, p_from, cfg.s_max, cfg.mask_mode)
-                        + float(lc_to[sites, ref].sum())
-                        - float(lc_from[sites, fwd].sum()),
-                    )
-                    terms.append(
-                        -cfg.beta * e_from + log_mask_true + log_draw + log_alpha
-                    )
-        return terms
+                log_fwd = lc_from[sites, fwd].sum(axis=1)
+                log_alpha = np.minimum(
+                    0.0,
+                    -cfg.beta * (e_to - e_from)
+                    + mask_log_mass(sites, p_to, cfg.s_max, cfg.mask_mode)
+                    - mask_log_mass(sites, p_from, cfg.s_max, cfg.mask_mode)
+                    + lc_to[sites, ref].sum(axis=1)
+                    - log_fwd,
+                )
+                log_mask_true = odds[sites].sum() - log_z
+                terms.append(-cfg.beta * e_from + log_mask_true + log_fwd - log_k * sites.size
+                             + log_alpha)
+        return np.concatenate(terms)
 
-    forward_terms = directional_terms(e_a, e_b, p_a, p_b, log_cond_a, log_cond_b, core)
-    reverse_core = [(site, ym, yp) for site, yp, ym in core]
-    reverse_terms = directional_terms(e_b, e_a, p_b, p_a, log_cond_b, log_cond_a, reverse_core)
-
-    return JumpFlowResult(
-        log_forward=_logsumexp(forward_terms),
-        log_reverse=_logsumexp(reverse_terms),
-        reachable=True,
-    )
+    forward = directional_terms(e_a, e_b, p_a, p_b, log_cond_a, log_cond_b, y_plus, y_minus)
+    reverse = directional_terms(e_b, e_a, p_b, p_a, log_cond_b, log_cond_a, y_minus, y_plus)
+    return JumpFlowResult(_logsumexp(forward), _logsumexp(reverse), reachable=True)
 
 
 # --- suite driver and report serialization ----------------------------------------

@@ -85,6 +85,22 @@ class TestRun:
         assert main(["run", "--config", str(out1 / "resolved.ini"), "--out", str(out2)]) == 0
         assert read_tree(out1) == read_tree(out2)
 
+    def test_landscape_file_replays_planted_run(self, tmp_path):
+        # kind = landscape-file on a planted run's landscape.txt runs the
+        # same chain on the same energy
+        text = TestPinnedBytes.CONFIG.format(p_jump=0.3)
+        planted = tmp_path / "planted"
+        assert main(["run", "--config", write(tmp_path / "a.ini", text),
+                     "--out", str(planted)]) == 0
+        loaded = tmp_path / "loaded"
+        text = text.replace("kind = planted",
+                            f"kind = landscape-file\nfile = {planted / 'landscape.txt'}")
+        assert main(["run", "--config", write(tmp_path / "b.ini", text),
+                     "--out", str(loaded)]) == 0
+        assert not (loaded / "landscape.txt").exists()
+        for name in ("trace.csv", "summary.json", "snapshots.txt", "sequences.txt"):
+            assert (loaded / name).read_bytes() == (planted / name).read_bytes()
+
     def test_missing_beta_exit_two(self, tmp_path, capsys):
         bad = RUN_CONFIG.format(steps=10).replace("beta = 1.0\n", "")
         cfg = write(tmp_path / "run.ini", bad)
@@ -466,6 +482,18 @@ n_contexts = 30
         payload = json.loads((out / "calibration.json").read_text())
         assert abs(payload["tau_star"] - 2.0) < 2e-2
 
+    def test_reference_file_matches_reference_scale(self, tmp_path):
+        model = MaskedSequenceModel.random(length=6, vocab=5, width=8, rng=Rng(6))
+        reference = tmp_path / "reference.txt"
+        save_model(model.scaled(0.5), reference)
+        tau_star = []
+        for extra in ("reference_scale = 0.5\n", f"reference_file = {reference}\n"):
+            out = tmp_path / f"out{len(tau_star)}"
+            cfg = write(tmp_path / "c.ini", self.CONFIG + extra)
+            assert main(["calibrate", "--config", cfg, "--out", str(out)]) == 0
+            tau_star.append(json.loads((out / "calibration.json").read_text())["tau_star"])
+        assert tau_star[0] == tau_star[1]
+
 
 class TestBench:
     CONFIG = """
@@ -527,6 +555,18 @@ snapshot_stride = 50
         main(["bench", "--config", cfg, "--out", str(out1)])
         main(["bench", "--config", cfg, "--out", str(out2)])
         assert read_tree(out1) == read_tree(out2)
+
+    def test_landscape_file_replays_planted_campaign(self, tmp_path):
+        cfg = write(tmp_path / "a.ini", self.CONFIG)
+        planted = tmp_path / "planted"
+        assert main(["bench", "--config", cfg, "--out", str(planted)]) == 0
+        cfg = write(tmp_path / "b.ini",
+                    self.CONFIG + f"landscape_file = {planted / 'landscape.txt'}\n")
+        loaded = tmp_path / "loaded"
+        assert main(["bench", "--config", cfg, "--out", str(loaded)]) == 0
+        assert not (loaded / "landscape.txt").exists()
+        for name in ("campaign.json", "curve.csv"):
+            assert (loaded / name).read_bytes() == (planted / name).read_bytes()
 
     def test_failed_seeds_reported(self, tmp_path, capsys, monkeypatch):
         def fail(cfg, method, seed_index):
@@ -645,3 +685,41 @@ class TestConfigErrors:
                             text.replace("[model]\n", f"[model]\n{key} = 99\n"))
                 assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
                 assert f"unknown key '{key}' in section [model]" in capsys.readouterr().err
+
+    # values that used to run wrong or leave files behind: each now exits 2
+    # with an empty output directory
+
+    def check_rejected(self, tmp_path, capsys, command, text, message):
+        cfg = write(tmp_path / "x.ini", text)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert os.listdir(out) == []
+
+    def test_zero_run_snapshot_stride_exit_two(self, tmp_path, capsys):
+        # it used to exit 1 after writing landscape.txt and trace.csv's header
+        text = TestPinnedBytes.CONFIG.format(p_jump=0.3).replace(
+            "snapshot_stride = 50", "snapshot_stride = 0")
+        self.check_rejected(tmp_path, capsys, "run", text, "snapshot_stride must be >= 1")
+
+    def test_zero_bench_snapshot_stride_exit_two(self, tmp_path, capsys):
+        # it used to fail every seed on range() and still exit 0
+        text = TestPinnedBytes.BENCH_CONFIG.replace("snapshot_stride = 25", "snapshot_stride = 0")
+        self.check_rejected(tmp_path, capsys, "bench", text, "snapshot_stride must be >= 1")
+
+    def test_bench_designable_quantile_above_one_exit_two(self, tmp_path, capsys):
+        # it used to exit 1 from np.quantile after writing landscape.txt
+        text = TestPinnedBytes.BENCH_CONFIG + "designable_quantile = 1.5\n"
+        self.check_rejected(tmp_path, capsys, "bench", text,
+                            "designable_quantile must lie in [0, 1]")
+
+    def test_negative_run_ridge_scale_exit_two(self, tmp_path, capsys):
+        # it used to run with no ridge term and exit 0
+        text = TestPinnedBytes.CONFIG.format(p_jump=0.3).replace(
+            "ridge_scale = 1.0", "ridge_scale = -1.0")
+        self.check_rejected(tmp_path, capsys, "run", text, "ridge_scale must be >= 0")
+
+    def test_negative_bench_ridge_scale_exit_two(self, tmp_path, capsys):
+        # it used to run with no ridge term and exit 0
+        text = TestPinnedBytes.BENCH_CONFIG.replace("ridge_scale = 1.0", "ridge_scale = -2.5")
+        self.check_rejected(tmp_path, capsys, "bench", text, "ridge_scale must be >= 0")

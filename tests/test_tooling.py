@@ -1,12 +1,17 @@
-"""The benchmark harness reaches into ``rss`` by name: these tests fail when a
-change deletes or renames a function it wraps or calls."""
+"""The benchmark harness reaches into ``rss`` by name, and README's configs
+are read by ``rss``: these tests fail when a change deletes or renames a
+function the harness wraps or calls, or when a README config stops parsing."""
 
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 
-CHILD = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "child.py"
+from rss.cli import load_config
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CHILD = ROOT / "benchmarks" / "child.py"
 
 # the commands' main calls that child.py wraps (each workload's main_call)
 MAIN_CALLS = [(f"cli.{name}", "rss.cli", name)
@@ -38,3 +43,16 @@ def test_traced_names_resolve(monkeypatch):
         if not found:
             missing.append(f"{span}: {module_name}.{attr}")
     assert missing == []
+
+
+def test_readme_ini_blocks_load(tmp_path):
+    # configparser keeps an inline "; comment" in the value, so a README
+    # config that annotates a value that way does not load
+    blocks = re.findall(r"^```ini\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        flags=re.S | re.M)
+    assert blocks
+    for index, block in enumerate(blocks):
+        command = next((c for c in ("bench", "validate", "calibrate") if f"[{c}]" in block), "run")
+        path = tmp_path / f"readme{index}.ini"
+        path.write_text(block, encoding="utf-8")
+        load_config(str(path), command)

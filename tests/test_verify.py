@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -9,9 +11,12 @@ import pytest
 from scipy import stats
 
 import rss
+import rss.verify
+from rss.bench import compose_energy
 from rss.core import Rng, js_divergence, one_hot
-from rss.energy import CompositeEnergy, GaussianEnergy, PairwiseContactEnergy
-from rss.sampler import SamplerConfig, mask_normalizer, mask_probabilities
+from rss.energy import (CompositeEnergy, GaussianEnergy, PairwiseContactEnergy,
+                        TargetProfileEnergy)
+from rss.sampler import SamplerConfig, mask_log_mass, mask_normalizer, mask_probabilities
 from rss.softplm import MaskedSequenceModel, SoftPlmEnergy
 from rss.verify import (
     EPS_GRID_DEFAULT,
@@ -259,6 +264,41 @@ def random_swap_pair(rng, cfg, length, vocab, n_sites):
     return a, b
 
 
+def brute_force_log_flow(energy, model, cfg, a, b):
+    """log flow from a to b by the definition, one realization at a time:
+    every site set as a 0/1 vector, its probability as the Bernoulli product
+    normalized over the sets with 1 <= |S| <= s_max, every token pair per site."""
+    length, vocab = a.shape
+    (e_a, g_a), (e_b, g_b) = energy.evaluate(a), energy.evaluate(b)
+    p_a = mask_probabilities(g_a, cfg.kappa, cfg.epsilon)
+    p_b = mask_probabilities(g_b, cfg.kappa, cfg.epsilon)
+    lc_a = model.log_conditionals_from_logits(a, cfg.tau)
+    lc_b = model.log_conditionals_from_logits(b, cfg.tau)
+    bits = [np.array(v, dtype=bool) for v in itertools.product((0, 1), repeat=length)
+            if 1 <= sum(v) <= cfg.s_max]
+    weights = np.array([np.prod(np.where(v, p_a, 1.0 - p_a)) for v in bits])
+    flow = 0.0
+    for member, weight in zip(bits, weights / weights.sum()):
+        sites = np.flatnonzero(member)
+        for fwd in itertools.product(range(vocab), repeat=sites.size):
+            for ref in itertools.product(range(vocab), repeat=sites.size):
+                proposed = a.copy()
+                for site, y_plus, y_minus in zip(sites, fwd, ref):
+                    if y_plus != y_minus:
+                        proposed[site, y_plus] += cfg.gamma
+                        proposed[site, y_minus] -= cfg.gamma
+                if np.abs(proposed - b).max() > 1e-9:
+                    continue
+                log_draw = lc_a[sites, list(fwd)].sum()
+                log_ratio = (-cfg.beta * (e_b - e_a)
+                             + mask_log_mass(sites, p_b, cfg.s_max, cfg.mask_mode)
+                             - mask_log_mass(sites, p_a, cfg.s_max, cfg.mask_mode)
+                             + lc_b[sites, list(ref)].sum() - log_draw)
+                flow += (math.exp(-cfg.beta * e_a + log_draw) * weight
+                         * vocab ** -sites.size * math.exp(min(0.0, log_ratio)))
+    return math.log(flow)
+
+
 class TestEnumerateJumpFlow:
     def test_identity_pair_flows_equal(self):
         energy, model, rng = build_jump_instance(83)
@@ -294,6 +334,19 @@ class TestEnumerateJumpFlow:
             mismatch = res.log_forward - res.log_reverse
             assert abs(mismatch - (math.log(z_b) - math.log(z_a))) < 1e-10
 
+    @pytest.mark.parametrize("mask_mode", ["exact", "paper"])
+    def test_flows_match_brute_force_enumeration(self, mask_mode):
+        # detailed balance holds on any subset of realizations taken in both
+        # directions alike; the flows themselves are checked here
+        energy, model, rng = build_jump_instance(89)
+        cfg = SamplerConfig(beta=0.8, eta=0.1, gamma=2.0, kappa=0.5, s_max=2,
+                            mask_mode=mask_mode)
+        for trial in range(4):
+            a, b = random_swap_pair(rng, cfg, 3, 3, 1 + trial % 2)
+            res = enumerate_jump_flow(energy, model, cfg, a, b)
+            assert abs(res.log_forward - brute_force_log_flow(energy, model, cfg, a, b)) < 1e-12
+            assert abs(res.log_reverse - brute_force_log_flow(energy, model, cfg, b, a)) < 1e-12
+
     def test_unreachable_pair_flagged(self):
         energy, model, rng = build_jump_instance(86)
         cfg = SamplerConfig(beta=1.0, eta=0.1, gamma=2.0, s_max=2)
@@ -308,6 +361,58 @@ class TestEnumerateJumpFlow:
         cfg = SamplerConfig(beta=1.0, eta=0.1, s_max=2)
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 3\)"):
             enumerate_jump_flow(energy, model, cfg, rng.normal((2, 3)), rng.normal((3, 3)))
+
+
+# the run-32x20 sampler settings, at which chains draw masks with Z(p) far below 0.125
+REALISTIC_CFG = SamplerConfig(beta=1.2, eta=0.1, gamma=2.5, kappa=0.4, s_max=3)
+
+
+def build_realistic_pair(length, n_sites, seed):
+    """The run-32x20 energy at length L with K = 20: target profile (seed 7),
+    ridge 2.5 and 0.1 x SoftPlm (model seed 3, width 16); and a swap pair."""
+    vocab = 20
+    raw = np.abs(Rng(7).normal((length, vocab))) + 0.1
+    model = MaskedSequenceModel.random(length, vocab, 16, Rng(3))
+    energy = compose_energy(TargetProfileEnergy(raw / raw.sum(axis=1, keepdims=True)),
+                            2.5, model, 0.1, REALISTIC_CFG.tau)
+    a, b = random_swap_pair(Rng(seed), REALISTIC_CFG, length, vocab, n_sites)
+    return energy, model, a, b
+
+
+def log_normalizer(energy, logits, cfg):
+    _, grad = energy.evaluate(logits)
+    return math.log(mask_normalizer(mask_probabilities(grad, cfg.kappa, cfg.epsilon), cfg.s_max))
+
+
+class TestJumpFlowAtRealisticSizes:
+    @pytest.mark.parametrize("length, n_sites", [(32, 1), (32, 2), (48, 1), (48, 2)])
+    def test_both_mask_modes_at_1e_10(self, length, n_sites):
+        energy, model, a, b = build_realistic_pair(length, n_sites, 900 + length + n_sites)
+        log_z_a = log_normalizer(energy, a, REALISTIC_CFG)
+        log_z_b = log_normalizer(energy, b, REALISTIC_CFG)
+        assert max(log_z_a, log_z_b) < math.log(0.125)
+
+        exact = enumerate_jump_flow(energy, model, REALISTIC_CFG, a, b)
+        assert exact.reachable
+        assert abs(exact.log_forward - exact.log_reverse) < 1e-10
+
+        paper_cfg = dataclasses.replace(REALISTIC_CFG, mask_mode="paper")
+        paper = enumerate_jump_flow(energy, model, paper_cfg, a, b)
+        mismatch = paper.log_forward - paper.log_reverse
+        assert abs(mismatch - (log_z_b - log_z_a)) < 1e-10
+
+    def test_skewed_mask_mass_breaks_exact_balance(self, monkeypatch):
+        # negative control: an acceptance whose mask mass carries a
+        # state-dependent error must show up as a detailed-balance gap
+        def skewed(sites, probs, s_max, mask_mode):
+            return mask_log_mass(sites, probs, s_max, mask_mode) + 1e-6 * float(np.sum(probs))
+
+        monkeypatch.setattr(rss.verify, "mask_log_mass", skewed)
+        for n_sites in (1, 2):
+            energy, model, a, b = build_realistic_pair(32, n_sites, 932 + n_sites)
+            res = enumerate_jump_flow(energy, model, REALISTIC_CFG, a, b)
+            assert res.reachable
+            assert abs(res.log_forward - res.log_reverse) > 1e-9
 
 
 class TestSuite:
