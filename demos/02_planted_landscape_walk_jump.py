@@ -26,9 +26,8 @@ from rss import (
 L, K = 6, 4
 landscape = planted_landscape(L, K, n_modes=3, depth=2.5, rng=Rng(42))
 print("planted modes (tokens):")
-for m in landscape.modes:
-    print("   ", [int(t) for t in m],
-          " discrete energy", round(landscape.energy.discrete_energy(m), 3))
+for m, e in zip(landscape.modes, landscape.energy.discrete_energies(landscape.modes)):
+    print("   ", [int(t) for t in m], " discrete energy", round(float(e), 3))
 print("median discrete energy   :", round(landscape.median_energy, 3))
 
 energy = CompositeEnergy(landscape.energy, GaussianEnergy(np.zeros((L, K)), 2.5), 1.0)

@@ -174,6 +174,8 @@ class CampaignConfig:
         for method in self.methods:
             if method not in METHODS:
                 raise ValueError(f"unknown method {method!r}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be nonempty and distinct, got {list(self.methods)}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.step_budget < 0:
@@ -287,15 +289,10 @@ def compose_energy(
     return energy
 
 
-def _candidate_indices(total_steps: int, stride: int) -> list[int]:
-    idx = list(range(stride, total_steps + 1, stride))
-    if total_steps not in idx:
-        idx.append(total_steps)
-    return idx
-
-
 def _run_one_seed(cfg: CampaignConfig, method: str, seed_index: int):
-    """Returns (decoded candidate matrix, energy evaluations used)."""
+    """Returns (decoded candidate matrix, energy evaluations used). The
+    candidates are the state at every ``snapshot_stride``-th step and the
+    last state, which may repeat one; scoring reads unique rows only."""
     rng = Rng(cfg.seed0 + seed_index)
     shape = cfg.landscape.energy.shape
     logits0 = cfg.init_scale * rng.normal(shape)
@@ -307,23 +304,19 @@ def _run_one_seed(cfg: CampaignConfig, method: str, seed_index: int):
         0.0 if method == "rso-noplm" else cfg.lam, cfg.sampler.tau,
     )
     steps = cfg.step_budget - 1
-    indices = _candidate_indices(steps, cfg.snapshot_stride)
+    stride = cfg.snapshot_stride
 
     if method == "rss":
         chain_cfg = dataclasses.replace(cfg.sampler, steps=steps)
         summary = run_chain(
-            logits0, chain_cfg, energy, model=cfg.model, rng=rng,
-            snapshot_stride=cfg.snapshot_stride,
+            logits0, chain_cfg, energy, model=cfg.model, rng=rng, snapshot_stride=stride,
         )
-        by_step = dict(summary.snapshots)
-        by_step[steps] = summary.final_state.logits
-        states = [by_step[i] for i in indices if i in by_step]
+        states = [logits for _, logits in summary.snapshots] + [summary.final_state.logits]
         evals = summary.energy_evaluations
     else:
         eta = cfg.rso_eta if cfg.rso_eta is not None else cfg.sampler.eta
         traj = run_rso(logits0, energy, eta, steps)
-        last = len(traj.states) - 1
-        states = [traj.states[min(i, last)] for i in indices]
+        states = traj.states[stride::stride] + traj.states[-1:]
         evals = traj.energy_evaluations
 
     decoded = np.stack([argmax_decode(s) for s in states])

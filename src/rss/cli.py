@@ -21,7 +21,7 @@ import typing
 import numpy as np
 
 from . import __version__
-from .core import Rng, argmax_decode, decode_to_letters
+from .core import Rng, argmax_decode, as_logits, decode_to_letters
 from .energy import (
     GaussianEnergy,
     PlantedLandscape,
@@ -234,25 +234,27 @@ def _meta(seed: int) -> dict:
 def _build_model(model_cfg: dict, shape: tuple[int, int] | None = None):
     """The configured masked model. ``shape`` is the energy's (L, K): a
     random model takes it, and a model file must have it. Without it the
-    size comes from [model] length and vocab."""
+    size comes from [model] length and vocab. A width below 1 or a
+    non-finite weight is a configuration error."""
     if model_cfg["file"]:
-        model = load_model(model_cfg["file"])
+        model = _from_config(load_model, model_cfg["file"])
         if shape is not None and model.shape != shape:
             raise ConfigError(f"model file {model_cfg['file']} has shape {model.shape}, "
                               f"but the energy has shape {shape}")
         return model
     length, vocab = shape if shape is not None else (model_cfg["length"], model_cfg["vocab"])
-    return MaskedSequenceModel.random(length=length, vocab=vocab,
-                                      width=model_cfg["width"], rng=Rng(model_cfg["seed"]))
+    return _from_config(MaskedSequenceModel.random, length=length, vocab=vocab,
+                        width=model_cfg["width"], rng=Rng(model_cfg["seed"]))
 
 
 def _landscape(section: dict, path: str) -> PlantedLandscape:
-    """Load ``path``, or plant from the section's keys."""
+    """Load ``path``, or plant from the section's keys; a value either
+    rejects is a configuration error, a failed planting is not."""
     if path:
-        return load_landscape(path)
-    return planted_landscape(
-        section["length"], section["vocab"], section["modes"], section["depth"],
-        Rng(section["landscape_seed"]),
+        return _from_config(load_landscape, path)
+    return _from_config(
+        planted_landscape, section["length"], section["vocab"], section["modes"],
+        section["depth"], Rng(section["landscape_seed"]),
     )
 
 
@@ -298,6 +300,9 @@ def cmd_run(values: dict, out: str) -> int:
         raise ConfigError("snapshot_stride must be >= 1")
 
     base, planted = _build_base_energy(values["energy"])
+    rng = Rng(seed)
+    # no chain starts from a shape as_logits rejects (L < 1 or K < 2)
+    logits0 = _from_config(as_logits, 0.5 * rng.normal(base.shape))
     # the jump kernel needs a model even when the prior weight is zero
     model = _build_model(values["model"], base.shape)
     energy = _from_config(compose_energy, base, values["energy"]["ridge_scale"], model,
@@ -305,9 +310,7 @@ def cmd_run(values: dict, out: str) -> int:
     if planted is not None:
         _save_planted(planted, values["energy"], out)
 
-    rng = Rng(seed)
     shape = energy.shape
-    logits0 = 0.5 * rng.normal(shape)
 
     with open_text(os.path.join(out, "trace.csv"), [_header(seed)]) as trace:
         summary = run_chain(
@@ -353,7 +356,9 @@ def cmd_validate(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     vcfg = values["validate"]
     model = _build_model(values["model"])
-    reports = run_validation_suite(
+    # every input of the suite is configured, so its ValueError exits 2
+    reports = _from_config(
+        run_validation_suite,
         model,
         seed,
         n_sequences=vcfg["n_sequences"],
@@ -378,9 +383,9 @@ def cmd_calibrate(values: dict, out: str) -> int:
     ccfg = values["calibrate"]
     model = _build_model(values["model"])
     if ccfg["reference_file"]:
-        reference = load_model(ccfg["reference_file"])
+        reference = _from_config(load_model, ccfg["reference_file"])
     elif ccfg["reference_scale"] != 1.0:
-        reference = model.scaled(ccfg["reference_scale"])
+        reference = _from_config(model.scaled, ccfg["reference_scale"])
     else:
         reference = model
 
@@ -390,7 +395,8 @@ def cmd_calibrate(values: dict, out: str) -> int:
         (seq, rng.integer(length))
         for seq in random_sequences(length, vocab, ccfg["n_contexts"], rng)
     ]
-    tau_star = calibrate_temperature(model, reference, contexts)
+    # the contexts and both models are configured, so its ValueError exits 2
+    tau_star = _from_config(calibrate_temperature, model, reference, contexts)
     payload = {
         "_meta": _meta(seed),
         "tau_star": tau_star,

@@ -156,10 +156,6 @@ class PairwiseContactEnergy(EnergyModel):
             np.add.at(dq, self.idx_j, np.einsum("cab,ca->cb", self.couplings, qi))
         return value, _softmax_row_backprop(q, dq)
 
-    def discrete_energy(self, tokens) -> float:
-        """Energy of a token sequence at exact one-hot marginals."""
-        return float(self.discrete_energies(np.asarray(tokens)[None])[0])
-
     def discrete_energies(self, token_matrix: np.ndarray) -> np.ndarray:
         """Vectorized discrete energies for an (N, L) batch of sequences, with
         one summation order: a row scores the same bits in any batch."""
@@ -231,6 +227,8 @@ class LandscapeGenerationError(RuntimeError):
 
 
 MAX_ENUMERATION = 10_000_000
+PLANT_NOISE_SCALE = 0.05  # random fields and couplings, relative to the planted coupling
+PLANT_RETRIES = 50        # fresh draws before planting gives up
 ENUMERATION_BLOCK = 16_384  # rows; a block's index arrays and gathers stay near 16 MB
 
 
@@ -304,9 +302,7 @@ def planted_landscape(
     n_modes: int,
     depth: float,
     rng: Rng,
-    noise_scale: float = 0.05,
     designable_quantile: float = 0.05,
-    max_retries: int = 50,
 ) -> PlantedLandscape:
     """Generate a coupling energy whose low-energy modes are known exactly.
 
@@ -315,12 +311,13 @@ def planted_landscape(
     apart, each at least ``depth`` below the median discrete energy and
     below the ``designable_quantile`` quantile. All of this is verified by
     exhaustive enumeration (vocab**length <= 1e7 enforced) before the
-    landscape is returned; construction retries with fresh draws and raises
-    LandscapeGenerationError if the checks never pass.
+    landscape is returned; construction retries ``PLANT_RETRIES`` times with
+    fresh draws and raises LandscapeGenerationError if the checks never pass.
 
     Construction plants attractive couplings between mode tokens on every
     site pair, strong enough to sink the modes ``depth`` below the bulk,
-    plus small random fields/couplings for roughness and tie-breaking.
+    plus small random fields/couplings (``PLANT_NOISE_SCALE`` of the planted
+    strength) for roughness and tie-breaking.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -337,12 +334,12 @@ def planted_landscape(
     n_pairs = len(pairs)
     seed = rng.seed
 
-    for _ in range(max_retries):
+    for _ in range(PLANT_RETRIES):
         modes = _draw_separated_sequences(length, vocab, n_modes, rng)
         # expected bulk-vs-mode gap per mode: ~ c * n_pairs * (1 - M/K^2)
         bulk_match = min(0.9, n_modes / (vocab * vocab))
         coupling_strength = 1.5 * depth / (n_pairs * (1.0 - bulk_match))
-        noise = noise_scale * coupling_strength
+        noise = PLANT_NOISE_SCALE * coupling_strength
 
         contacts = []
         for i, j in pairs:
@@ -358,7 +355,7 @@ def planted_landscape(
             return PlantedLandscape(energy, modes, seed, depth, energies)
 
     raise LandscapeGenerationError(
-        f"landscape checks failed after {max_retries} attempts "
+        f"landscape checks failed after {PLANT_RETRIES} attempts "
         f"(L={length}, K={vocab}, modes={n_modes}, depth={depth})"
     )
 

@@ -92,6 +92,8 @@ class ChainState:
     def initialize(cls, logits, energy_model: EnergyModel) -> "ChainState":
         logits = as_logits(logits, energy_model.shape)
         value, grad = energy_model.evaluate(logits)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            raise ValueError("the start state's energy or gradient is not finite")
         return cls(logits=logits, energy=value, gradient=grad)
 
 

@@ -25,6 +25,7 @@ from .textio import read_blocks, write_blocks
 
 LOG_TAU_LOW = float(np.log(0.05))
 LOG_TAU_HIGH = float(np.log(20.0))
+LOG_TAU_TOL = 1e-4      # calibration's golden-section tolerance in log tau
 
 
 def _check_marginals(marginals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -67,12 +68,17 @@ class MaskedSequenceModel:
             raise ValueError("bias must be (K,)")
         for arr in (self.embed, self.mask_embed, self.positional,
                     self.mix, self.readout, self.bias):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("model weights must be finite")
             arr.flags.writeable = False
 
     @classmethod
     def random(cls, length: int, vocab: int = 20, width: int = 16,
                rng: Rng | None = None) -> "MaskedSequenceModel":
         """Fresh frozen model with N(0, 1/sqrt(d)) weights from the given stream."""
+        if length < 1 or vocab < 2 or width < 1:
+            raise ValueError(f"a model needs L >= 1, K >= 2 and width >= 1, "
+                             f"got L = {length}, K = {vocab}, width = {width}")
         if rng is None:
             rng = Rng(0)
         scale = 1.0 / np.sqrt(width)
@@ -226,14 +232,13 @@ def calibrate_temperature(
     model: MaskedSequenceModel,
     reference: MaskedSequenceModel,
     contexts,
-    tol: float = 1e-4,
 ) -> float:
     """Global temperature minimizing KL(reference conditional || model at tau).
 
     ``contexts`` is a list of (token sequence, site) pairs; reference
     conditionals are taken at temperature 1 on exact one-hot rows. The
-    search is golden-section over log tau in [ln 0.05, ln 20] to ``tol``
-    in log space.
+    search is golden-section over log tau in [ln 0.05, ln 20] to
+    ``LOG_TAU_TOL`` in log space.
     """
     contexts = list(contexts)
     if not contexts:
@@ -260,7 +265,8 @@ def calibrate_temperature(
             np.sum(ref_rows[nz] * (np.log(ref_rows[nz]) - log_p[nz])) / len(contexts)
         )
 
-    return float(np.exp(golden_section_minimize(objective, LOG_TAU_LOW, LOG_TAU_HIGH, tol)))
+    log_tau = golden_section_minimize(objective, LOG_TAU_LOW, LOG_TAU_HIGH, LOG_TAU_TOL)
+    return float(np.exp(log_tau))
 
 
 # --- model weight file ------------------------------------------------------

@@ -27,7 +27,8 @@ from .softplm import MaskedSequenceModel, _tempered_log_softmax
 
 EPS_GRID_DEFAULT = (0.0, 0.2, 0.4, 0.6, 0.8)
 BLUR_FRACTION = 0.3
-OPTION_SIZE = 3
+LIBRARY_SITES = 3        # edited sites per library
+OPTION_SIZE = 3          # token options per edited site
 K_VARIANTS_DEFAULT = 256
 K_MC_DEFAULT = 8
 
@@ -101,11 +102,10 @@ def onehot_fidelity(
     sequences,
     rng: Rng,
     tau: float = 1.0,
-    sites_per_sequence: int = 1,
 ) -> FidelityReport:
     """Discrete-vs-relaxed agreement on exact one-hot contexts.
 
-    For each sampled (sequence, site) pair: KL between the discrete
+    For one sampled site per sequence: KL between the discrete
     conditional and the relaxed conditional on the explicitly built one-hot
     marginal rows (zero by shared-path construction), and the Spearman
     correlation between the K-1 substitution scores
@@ -125,17 +125,16 @@ def onehot_fidelity(
         raw = model.masked_logits(one_hot(tokens, vocab))
         soft = softmax_rows(raw / tau)
         soft_log = _tempered_log_softmax(raw, tau)
-        for _ in range(sites_per_sequence):
-            site = rng.integer(length)
-            kls.append(kl_divergence(discrete[site], soft[site]))
-            native = tokens[site]
-            others = [b for b in range(vocab) if b != native]
-            disc_log = np.log(np.maximum(discrete[site], 1e-300))
-            deltas = [-disc_log[b] + disc_log[native] for b in others]
-            grads = [-soft_log[site, b] + soft_log[site, native] for b in others]
-            rho = spearman(deltas, grads)
-            if rho is not None:
-                rhos.append(rho)
+        site = rng.integer(length)
+        kls.append(kl_divergence(discrete[site], soft[site]))
+        native = tokens[site]
+        others = [b for b in range(vocab) if b != native]
+        disc_log = np.log(np.maximum(discrete[site], 1e-300))
+        deltas = [-disc_log[b] + disc_log[native] for b in others]
+        grads = [-soft_log[site, b] + soft_log[site, native] for b in others]
+        rho = spearman(deltas, grads)
+        if rho is not None:
+            rhos.append(rho)
     return FidelityReport(
         mean_kl=float(np.mean(kls)),
         spearman_mean=float(np.mean(rhos)) if rhos else float("nan"),
@@ -168,11 +167,10 @@ def mixture_consistency(
     eps_grid=EPS_GRID_DEFAULT,
     k_mc: int = K_MC_DEFAULT,
     tau: float = 1.0,
-    blur_fraction: float = BLUR_FRACTION,
 ) -> list[MixtureRow]:
     """Relaxed conditionals on blurred contexts vs Monte Carlo marginalization.
 
-    Per sequence, a random ``blur_fraction`` of positions is mixed toward
+    Per sequence, a random ``BLUR_FRACTION`` of positions is mixed toward
     uniform by each eps in the grid; blur sites are re-drawn per sequence
     from this suite's own stream. The reference averages discrete
     conditionals over k_mc sequences drawn from the blurred marginals.
@@ -183,7 +181,7 @@ def mixture_consistency(
         raise ValueError("k_mc must be >= 1")
     sequences = np.asarray(sequences, dtype=np.int64)
     length, vocab = model.shape
-    n_blur = max(1, round(blur_fraction * length))
+    n_blur = max(1, round(BLUR_FRACTION * length))
     rows = []
     for eps in eps_grid:
         if not 0.0 <= eps < 1.0:
@@ -260,15 +258,12 @@ class RankingReport:
     undefined: bool = False
 
 
-def random_libraries(
-    length: int, vocab: int, count: int, rng: Rng,
-    n_sites: int = 3, option_size: int = OPTION_SIZE,
-) -> list[Library]:
+def random_libraries(length: int, vocab: int, count: int, rng: Rng) -> list[Library]:
     libs = []
     for _ in range(count):
         tokens = np.array([rng.integer(vocab) for _ in range(length)], dtype=np.int64)
-        sites = _random_subset(length, n_sites, rng)
-        options = [list(_random_subset(vocab, option_size, rng)) for _ in sites]
+        sites = _random_subset(length, LIBRARY_SITES, rng)
+        options = [list(_random_subset(vocab, OPTION_SIZE, rng)) for _ in sites]
         libs.append(Library(tokens=tokens, sites=sites, options=options))
     return libs
 
@@ -486,11 +481,22 @@ def run_validation_suite(
     """All validation metric families on one model, reproducible from seed.
 
     Families and their protocol constants: one-hot fidelity (KL and the
-    gradient-vs-substitution Spearman, mean and median), mixture consistency
-    (30% blur, eps grid 0.0/0.2/0.4/0.6/0.8, k_mc reference draws), library
-    ranking (3 options per edited site, 256 baseline variants).
+    gradient-vs-substitution Spearman at one site per sequence), mixture
+    consistency (BLUR_FRACTION blur, eps grid, k_mc reference draws), library
+    ranking (LIBRARY_SITES sites with OPTION_SIZE options, k_variants draws).
+    The arguments are checked before the first forward.
     """
     length, vocab = model.shape
+    if length < LIBRARY_SITES or vocab < OPTION_SIZE:
+        # a library edits LIBRARY_SITES sites with OPTION_SIZE distinct
+        # tokens each; fidelity ranks K - 1 >= 2 substitutions
+        raise ValueError(f"the validation suite needs L >= {LIBRARY_SITES} and "
+                         f"K >= {OPTION_SIZE}, got L = {length}, K = {vocab}")
+    if tau <= 0:
+        raise ValueError("temperature tau must be positive")
+    for key, count in (("n_sequences", n_sequences), ("k_mc", k_mc), ("k_variants", k_variants)):
+        if count < 1:
+            raise ValueError(f"{key} must be >= 1")
     base_config = {
         "seed": seed,
         "L": length,
@@ -498,57 +504,32 @@ def run_validation_suite(
         "tau": tau,
         "n_sequences": n_sequences,
     }
+    reports: dict[str, ValidationReport] = {}
+
+    def report(name, value, count, **config):
+        reports[name] = ValidationReport(name, value, count, dict(base_config, **config))
+
     rng = Rng(seed)
     sequences = random_sequences(length, vocab, n_sequences, rng)
 
-    reports: dict[str, ValidationReport] = {}
-
     fid = onehot_fidelity(model, sequences, Rng(seed + 1), tau=tau)
-    fid_cfg = dict(base_config, sites_per_sequence=1)
-    reports["onehot_fidelity_kl"] = ValidationReport(
-        "onehot_fidelity_kl", fid.mean_kl, fid.sample_count, fid_cfg
-    )
-    reports["onehot_fidelity_grad_spearman_mean"] = ValidationReport(
-        "onehot_fidelity_grad_spearman_mean", fid.spearman_mean, fid.sample_count, fid_cfg
-    )
-    reports["onehot_fidelity_grad_spearman_median"] = ValidationReport(
-        "onehot_fidelity_grad_spearman_median", fid.spearman_median, fid.sample_count, fid_cfg
-    )
+    for name, value in (("kl", fid.mean_kl), ("grad_spearman_mean", fid.spearman_mean),
+                        ("grad_spearman_median", fid.spearman_median)):
+        report(f"onehot_fidelity_{name}", value, fid.sample_count, sites_per_sequence=1)
 
-    mix_cfg = dict(
-        base_config,
-        blur_fraction=BLUR_FRACTION,
-        eps_grid=list(eps_grid),
-        k_mc=k_mc,
-    )
     for row in mixture_consistency(
         model, sequences, Rng(seed + 2), eps_grid=eps_grid, k_mc=k_mc, tau=tau
     ):
-        tag = format(row.eps, ".1f")
-        reports[f"mixture_js_eps{tag}"] = ValidationReport(
-            f"mixture_js_eps{tag}", row.mean_js, row.sample_count,
-            dict(mix_cfg, eps=row.eps),
-        )
-        reports[f"mixture_top1_eps{tag}"] = ValidationReport(
-            f"mixture_top1_eps{tag}", row.top1_agreement, row.sample_count,
-            dict(mix_cfg, eps=row.eps),
-        )
+        for name, value in (("js", row.mean_js), ("top1", row.top1_agreement)):
+            report(f"mixture_{name}_eps{row.eps:.1f}", value, row.sample_count,
+                   blur_fraction=BLUR_FRACTION, eps_grid=list(eps_grid), k_mc=k_mc, eps=row.eps)
 
     lib_rng = Rng(seed + 3)
     libraries = random_libraries(length, vocab, n_libraries, lib_rng)
     ranking = library_ranking(model, libraries, lib_rng, k_variants=k_variants, tau=tau)
-    lib_cfg = dict(
-        base_config,
-        n_libraries=n_libraries,
-        option_size=OPTION_SIZE,
-        k_variants=k_variants,
-    )
-    reports["library_spearman_mean"] = ValidationReport(
-        "library_spearman_mean", ranking.spearman_mean, ranking.n_libraries, lib_cfg
-    )
-    reports["library_spearman_best"] = ValidationReport(
-        "library_spearman_best", ranking.spearman_best, ranking.n_libraries, lib_cfg
-    )
+    for name, value in (("mean", ranking.spearman_mean), ("best", ranking.spearman_best)):
+        report(f"library_spearman_{name}", value, ranking.n_libraries,
+               n_libraries=n_libraries, option_size=OPTION_SIZE, k_variants=k_variants)
     return reports
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import warnings
@@ -254,6 +255,17 @@ class TestCampaign:
         for cpus in (2, 4):
             assert reports[cpus].to_json() == reports[1].to_json()
             assert reports[cpus].curve_csv() == reports[1].curve_csv()
+
+    def test_rso_stop_off_stride_pinned(self, landscape, model):
+        # at eta 40 every rso seed stops after 101 evaluations, at step 100,
+        # which stride 37 does not divide: its candidates are steps 37, 74
+        # and 100. sha256 taken with numpy 2.4 on x86-64 Linux.
+        report = run_campaign(self.make_config(landscape, model, seeds=2, step_budget=300,
+                                               rso_eta=40.0, snapshot_stride=37))
+        assert report.results["rso"].per_seed_energy_evals == [101, 101]
+        assert report.results["rss"].per_seed_energy_evals == [300, 300]
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "feac94aa99fb88c58e07de8eef313cb0e5d333f4c05a2c7c16f09d24c2fc7607")
 
     def test_invalid_method_rejected(self, landscape, model):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from rss import bench
 from rss.cli import main
 from rss.core import Rng
@@ -445,6 +447,21 @@ k_variants = 8
         text = (out / "validation.txt").read_text()
         assert "onehot_fidelity_kl" in text
 
+    def test_pinned_bytes(self, tmp_path):
+        # sha256 with non-default k_mc and k_variants, whose values each row's
+        # config echoes; same numpy and platform as TestPinnedBytes
+        cfg = write(tmp_path / "v.ini", self.CONFIG)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+               for file in ("validation.json", "validation.txt")}
+        assert got == {
+            "validation.json":
+                "79604fb7282426e67f2901a6343ee32f5b23ed7eaefe8e1f17606b5109534083",
+            "validation.txt":
+                "260da48d4aec46376dd12b1efb7a87af2e5cd82508f643e5d706266e6f38b1ef",
+        }
+
     def test_deterministic(self, tmp_path):
         cfg = write(tmp_path / "v.ini", self.CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -723,3 +740,93 @@ class TestConfigErrors:
         # it used to run with no ridge term and exit 0
         text = TestPinnedBytes.BENCH_CONFIG.replace("ridge_scale = 1.0", "ridge_scale = -2.5")
         self.check_rejected(tmp_path, capsys, "bench", text, "ridge_scale must be >= 0")
+
+    # a masked model of width 0 used to give NaN energies in `rss run`
+    # (summary.json held NaN tokens), unequal evaluation counts in `rss
+    # bench`, tau_star at the edge of the search range in `rss calibrate`
+    # and a numpy error in `rss validate`; in `rss calibrate`, L = 0 used to
+    # exit 1 with a numpy error and K = 1 to exit 0 with tau_star at the edge
+
+    @pytest.mark.parametrize("command, old, new, size", [
+        ("run", "width = 8", "width = 0", "L = 4, K = 5, width = 0"),
+        ("bench", "width = 8", "width = 0", "L = 6, K = 4, width = 0"),
+        ("calibrate", "width = 8", "width = 0", "L = 6, K = 5, width = 0"),
+        ("validate", "width = 8", "width = 0", "L = 8, K = 5, width = 0"),
+        ("calibrate", "length = 6", "length = 0", "L = 0, K = 5, width = 8"),
+        ("calibrate", "vocab = 5", "vocab = 1", "L = 6, K = 1, width = 8"),
+    ], ids=["run-width", "bench-width", "calibrate-width", "validate-width",
+            "calibrate-length", "calibrate-vocab"])
+    def test_model_size_exit_two(self, tmp_path, capsys, command, old, new, size):
+        text = {
+            "run": RUN_CONFIG.format(steps=20).replace("p_jump = 0.2", "p_jump = 0.5")
+                   .replace("ridge_scale = 0.0", "ridge_scale = 0.0\nlambda = 0.1"),
+            "bench": TestPinnedBytes.BENCH_CONFIG,
+            "calibrate": TestCalibrate.CONFIG,
+            "validate": TestValidate.CONFIG,
+        }[command]
+        self.check_rejected(tmp_path, capsys, command, text.replace(old, new),
+                            f"a model needs L >= 1, K >= 2 and width >= 1, got {size}")
+
+    def test_non_finite_model_file_exit_two(self, tmp_path, capsys):
+        model = MaskedSequenceModel.random(4, 5, 8, Rng(3))
+        model_file = tmp_path / "model.txt"
+        save_model(model, model_file)
+        lines = model_file.read_text().splitlines()
+        row = lines.index("[bias]") + 1
+        lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+        model_file.write_text("\n".join(lines) + "\n")
+        text = RUN_CONFIG.format(steps=5).replace("[model]\n", f"[model]\nfile = {model_file}\n")
+        self.check_rejected(tmp_path, capsys, "run", text, "model weights must be finite")
+
+    # values the validation suite, calibration, planting or a chain's start
+    # reject: each used to exit 1, some after writing files
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_libraries = 4", "n_libraries = 4\ntau = 0", "temperature tau must be positive"),
+        ("k_mc = 3", "k_mc = 0", "k_mc must be >= 1"),
+        ("k_variants = 8", "k_variants = 0", "k_variants must be >= 1"),
+        ("n_sequences = 6", "n_sequences = 0", "n_sequences must be >= 1"),
+        ("length = 8", "length = 2", "the validation suite needs L >= 3 and K >= 3, "
+                                     "got L = 2, K = 5"),
+        ("vocab = 5", "vocab = 2", "the validation suite needs L >= 3 and K >= 3, "
+                                   "got L = 8, K = 2"),
+    ], ids=["tau", "k_mc", "k_variants", "n_sequences", "length", "vocab"])
+    def test_validate_value_exit_two(self, tmp_path, capsys, old, new, message):
+        self.check_rejected(tmp_path, capsys, "validate", TestValidate.CONFIG.replace(old, new),
+                            message)
+
+    def test_zero_calibrate_contexts_exit_two(self, tmp_path, capsys):
+        text = TestCalibrate.CONFIG.replace("n_contexts = 30", "n_contexts = 0")
+        self.check_rejected(tmp_path, capsys, "calibrate", text,
+                            "temperature calibration needs at least one context")
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("modes = 3", "modes = 0", "mode count must be in [1, K^L]"),
+        ("depth = 2.0", "depth = 0.0", "depth must be positive"),
+        ("length = 6", "length = 1", "planted landscapes need length >= 2 for couplings"),
+        ("length = 6", "length = 12",
+         "K^L = 16777216 exceeds the enumeration cap 10000000"),
+    ], ids=["modes", "depth", "length", "cap"])
+    def test_planting_value_exit_two(self, tmp_path, capsys, command, old, new, message):
+        text = {"run": TestPinnedBytes.CONFIG.format(p_jump=0.3),
+                "bench": TestPinnedBytes.BENCH_CONFIG}[command]
+        self.check_rejected(tmp_path, capsys, command, text.replace(old, new), message)
+
+    @pytest.mark.parametrize("old, new, shape", [
+        ("length = 4", "length = 0", (0, 5)),
+        ("vocab = 5", "vocab = 1", (4, 1)),
+    ], ids=["length", "vocab"])
+    def test_run_energy_shape_exit_two(self, tmp_path, capsys, old, new, shape):
+        # it used to exit 1 after writing trace.csv's header
+        self.check_rejected(tmp_path, capsys, "run", RUN_CONFIG.format(steps=5).replace(old, new),
+                            f"logit matrix needs L >= 1 and K >= 2, got {shape}")
+
+    @pytest.mark.parametrize("methods, echo", [(",", "[]"), ("rso,rso", "['rso', 'rso']")],
+                             ids=["empty", "repeated"])
+    def test_bench_methods_exit_two(self, tmp_path, capsys, methods, echo):
+        # an empty list used to write a campaign.json with no methods, and a
+        # repeated one ran every rso seed twice
+        text = TestPinnedBytes.BENCH_CONFIG.replace("methods = rss,rso", f"methods = {methods}")
+        self.check_rejected(tmp_path, capsys, "bench", text,
+                            f"methods must be nonempty and distinct, got {echo}")

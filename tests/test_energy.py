@@ -177,7 +177,7 @@ class TestPairwise:
         tokens = np.array([rng.integer(K) for _ in range(L)])
         saturated = 800.0 * one_hot(tokens, K)
         e_cont, _ = energy.evaluate(saturated)
-        assert abs(energy.discrete_energy(tokens) - e_cont) < 1e-12
+        assert abs(energy.discrete_energies(tokens[None, :])[0] - e_cont) < 1e-12
 
     def test_discrete_energies_batch(self):
         # one row scores the same bits as in any batch: the 8x5 case is the
@@ -195,7 +195,7 @@ class TestPairwise:
         for energy, rows in cases:
             length, vocab = energy.shape
             batch = gen.integers(0, vocab, size=(rows, length))
-            singles = [energy.discrete_energy(t) for t in batch]
+            singles = [energy.discrete_energies(t[None, :])[0] for t in batch]
             np.testing.assert_array_equal(energy.discrete_energies(batch), singles)
 
 
@@ -206,8 +206,6 @@ class TestPairwise:
         tokens = np.array([-1, 0, 1, 2, 3])
         with pytest.raises(ValueError):
             energy.discrete_energies(tokens[None, :])
-        with pytest.raises(ValueError):
-            energy.discrete_energy(tokens)
 
 class TestPlantedLandscape:
     def test_single_mode_is_global_minimum(self):
@@ -229,7 +227,7 @@ class TestPlantedLandscape:
         energies = enumerate_discrete_energies(land.energy)
         median = np.median(energies)
         for mode in land.modes:
-            e_mode = land.energy.discrete_energy(mode)
+            e_mode = land.energy.discrete_energies(mode[None, :])[0]
             assert e_mode <= median - land.depth
             for i in range(5):
                 for tok in range(4):
@@ -237,7 +235,7 @@ class TestPlantedLandscape:
                         continue
                     neighbor = mode.copy()
                     neighbor[i] = tok
-                    assert land.energy.discrete_energy(neighbor) > e_mode
+                    assert land.energy.discrete_energies(neighbor[None, :])[0] > e_mode
 
     def test_large_depth_dominates_boltzmann_mass(self):
         def mode_mass(land, beta):

@@ -95,6 +95,17 @@ class TestWalk:
         proposal = walk_propose(state, cfg, energy, rng)
         assert walk_accept(state, proposal, cfg) == 0.0
 
+    def test_non_finite_start_rejected(self):
+        # a chain from such a state used to veto every proposal and run on
+        class BrokenEnergy(GaussianEnergy):
+            def evaluate(self, logits):
+                value, grad = super().evaluate(logits)
+                return (value, grad * np.nan) if self.scale == 1.0 else (np.inf, grad)
+
+        for scale in (1.0, 2.0):  # a NaN gradient, then an infinite energy
+            with pytest.raises(ValueError, match="not finite"):
+                ChainState.initialize(np.ones((L, K)), BrokenEnergy(np.zeros((L, K)), scale))
+
     def test_pointwise_detailed_balance(self, gaussian):
         cfg = SamplerConfig(beta=1.3, eta=0.09)
         rng = Rng(5)

@@ -249,3 +249,12 @@ class TestModelFile:
     def test_weights_frozen(self, model):
         with pytest.raises(ValueError):
             model.embed[0, 0] = 1.0
+
+    def test_zero_width_and_non_finite_weights_rejected(self, model):
+        with pytest.raises(ValueError, match="width >= 1"):
+            MaskedSequenceModel.random(4, 5, 0, Rng(0))
+        bias = model.bias.copy()
+        bias[0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            MaskedSequenceModel(model.embed, model.mask_embed, model.positional,
+                                model.mix, model.readout, bias)

@@ -1,14 +1,17 @@
-"""The benchmark harness reaches into ``rss`` by name, and README's configs
-are read by ``rss``: these tests fail when a change deletes or renames a
-function the harness wraps or calls, or when a README config stops parsing."""
+"""The benchmark harness reaches into ``rss`` by name, README's configs are
+read by ``rss``, and every JSON file ``rss`` writes is read by other tools:
+these tests fail when a change deletes or renames a function the harness
+wraps or calls, when a README config stops parsing, or when a command writes
+a JSON file that strict parsers reject."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
 import sys
 
-from rss.cli import load_config
+from rss.cli import load_config, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CHILD = ROOT / "benchmarks" / "child.py"
@@ -56,3 +59,94 @@ def test_readme_ini_blocks_load(tmp_path):
         path = tmp_path / f"readme{index}.ini"
         path.write_text(block, encoding="utf-8")
         load_config(str(path), command)
+
+
+SMALL_CONFIGS = {
+    "run": """
+[run]
+seed = 3
+steps = 40
+snapshot_stride = 10
+
+[sampler]
+beta = 1.0
+eta = 0.1
+p_jump = 0.5
+
+[energy]
+kind = gaussian
+length = 4
+vocab = 5
+lambda = 0.1
+
+[model]
+width = 4
+""",
+    "validate": """
+[run]
+seed = 3
+
+[model]
+width = 4
+length = 5
+vocab = 4
+
+[validate]
+n_sequences = 3
+n_libraries = 3
+k_mc = 2
+k_variants = 4
+""",
+    "bench": """
+[run]
+seed = 3
+
+[sampler]
+beta = 1.0
+eta = 0.1
+p_jump = 0.3
+
+[model]
+width = 4
+
+[bench]
+length = 5
+vocab = 4
+modes = 2
+depth = 2.0
+seeds = 1
+step_budget = 60
+lam = 0.1
+ridge_scale = 2.0
+snapshot_stride = 20
+""",
+    "calibrate": """
+[run]
+seed = 3
+
+[model]
+width = 4
+length = 5
+vocab = 4
+
+[calibrate]
+n_contexts = 10
+reference_scale = 0.5
+""",
+}
+
+
+def test_json_outputs_are_strict_json(tmp_path):
+    # Python's json writes NaN and Infinity, which JSON does not allow
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    for command, text in SMALL_CONFIGS.items():
+        config = tmp_path / f"{command}.ini"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        written = sorted(out.glob("*.json"))
+        assert written, command
+        for path in written:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)

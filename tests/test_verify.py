@@ -93,7 +93,7 @@ class TestOnehotFidelity:
 
     def test_single_pair_sample_count(self, model):
         seqs = random_sequences(8, 5, 1, Rng(65))
-        report = onehot_fidelity(model, seqs, Rng(66), sites_per_sequence=1)
+        report = onehot_fidelity(model, seqs, Rng(66))
         assert report.sample_count == 1
 
     def test_two_forwards_per_sequence(self, model, monkeypatch):
