@@ -265,10 +265,11 @@ def _save_planted(landscape: PlantedLandscape, section: dict, out: str) -> None:
 
 
 def _from_config(build, *args, **kwargs):
-    """``build(...)``, whose ValueError on a configured value exits 2."""
+    """``build(...)``, whose ValueError on a configured value, or OSError on
+    a configured file, exits 2."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -7,15 +7,16 @@ kernels carry exact Metropolis-Hastings corrections, so the chain targets
 pi(logits) proportional to exp(-beta * E(logits)).
 
 Acceptance probabilities are computed entirely in log space; exp is taken
-only at the final Bernoulli draw. A rejected step returns the same state
-object, and the cached (energy, gradient) pair always matches a fresh
-evaluation of the current logits.
+only at the final Bernoulli draw. A proposal is a candidate state: a step
+returns the accepted proposal or the same state object, whose cached
+(energy, gradient) pair always matches a fresh evaluation of its logits and
+whose jump terms (``ChainState.jump_terms``) are computed once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,20 +57,13 @@ class SamplerConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        for name in ("beta", "eta", "gamma", "tau", "epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.p_jump <= 1.0:
             raise ValueError("p_jump must lie in [0, 1]")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must lie in (0, 1]")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.s_max < 1:
@@ -82,11 +76,12 @@ class SamplerConfig:
 
 @dataclass
 class ChainState:
-    """Current logits with their cached energy and gradient."""
+    """Current logits with their cached energy, gradient and jump terms."""
 
     logits: np.ndarray
     energy: float
     gradient: np.ndarray
+    _jump: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def initialize(cls, logits, energy_model: EnergyModel) -> "ChainState":
@@ -95,6 +90,17 @@ class ChainState:
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             raise ValueError("the start state's energy or gradient is not finite")
         return cls(logits=logits, energy=value, gradient=grad)
+
+    def jump_terms(self, cfg: SamplerConfig, model: MaskedSequenceModel) -> tuple:
+        """(probs, table, z, log_cond): the state's mask probabilities, their
+        size table and Z(p), and its masked-model log-conditionals at cfg.tau,
+        computed once per key (kappa, epsilon, s_max, tau, model)."""
+        key = (cfg.kappa, cfg.epsilon, cfg.s_max, cfg.tau, model)
+        if self._jump[0] != key:
+            probs = mask_probabilities(self.gradient, cfg.kappa, cfg.epsilon)
+            log_cond = model.log_conditionals_from_logits(self.logits, cfg.tau)
+            self._jump = key, (probs, *_size_table(probs, cfg.s_max), log_cond)
+        return self._jump[1]
 
 
 @dataclass
@@ -118,10 +124,7 @@ def gaussian_log_density(x: np.ndarray, mean: np.ndarray, var: float) -> float:
 
 
 @dataclass
-class WalkProposal:
-    logits: np.ndarray
-    energy: float
-    gradient: np.ndarray
+class WalkProposal(ChainState):
     log_q_forward: float
     log_q_reverse: float
     finite: bool = True
@@ -134,8 +137,8 @@ def walk_propose(
 
     proposal = logits - eta * grad + sqrt(2 eta / beta) * xi. The reverse
     density needs the gradient at the proposal, so the proposal is evaluated
-    here once and the (energy, gradient) pair is carried for acceptance and
-    for the next state's cache. A non-finite proposal or evaluation yields
+    here once; its (energy, gradient) pair serves acceptance and, if it is
+    accepted, the next state. A non-finite proposal or evaluation yields
     finite=False, which acceptance turns into a recorded veto, not a crash.
     """
     var = 2.0 * cfg.eta / cfg.beta
@@ -205,12 +208,17 @@ def mask_normalizer(probs: np.ndarray, s_max: int) -> float:
     return _size_table(np.asarray(probs, dtype=np.float64), s_max)[1]
 
 
-def _log_product(sites: np.ndarray, probs: np.ndarray) -> float:
-    # log prod p_i^{i in S} (1-p_i)^{i not in S}
+def _log_mass(sites: np.ndarray, probs: np.ndarray, z: float | None, mask_mode: str) -> float:
+    # the one pricing rule of a site set, see mask_log_mass; z = Z(p) or None
     member = np.zeros(probs.size, dtype=bool)
     member[np.asarray(sites, dtype=np.int64)] = True
     terms = np.where(member, probs, 1.0 - probs)
-    return float(np.log(np.maximum(terms, LOG_FLOOR)).sum())
+    raw = float(np.log(np.maximum(terms, LOG_FLOOR)).sum())
+    if mask_mode == "paper":
+        return raw
+    if z <= 0.0:
+        raise ValueError("mask normalizer Z(p) is zero; no valid mask exists")
+    return raw - float(np.log(z))
 
 
 def mask_log_mass(
@@ -224,32 +232,12 @@ def mask_log_mass(
     is where a mode name is checked.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    raw = _log_product(sites, probs)
-    if mask_mode == "paper":
-        return raw
-    z = mask_normalizer(probs, s_max)
-    if z <= 0.0:
-        raise ValueError("mask normalizer Z(p) is zero; no valid mask exists")
-    return raw - float(np.log(z))
+    z = None if mask_mode == "paper" else mask_normalizer(probs, s_max)
+    return _log_mass(sites, probs, z, mask_mode)
 
 
-def sample_mask(
-    probs: np.ndarray, s_max: int, rng: Rng, mask_mode: str = "exact"
-) -> tuple[np.ndarray, float]:
-    """Draw a site set from the Bernoulli product conditioned on 1 <= |S| <= s_max.
-
-    Conditional-Bernoulli sampling (Chen, Dempster & Liu 1994) from the size
-    table: |S| = k by inverse CDF over P(|S| = k), k = 1..s_max, summed in
-    index order; then sites from the last to the first, site i taken with
-    probability p_i P(k-1 among sites < i) / P(k among sites <= i) while k
-    remain to place. One uniform for the size and at most one per site.
-    Raises MaskSamplingError only when Z(p) = 0.
-
-    Returns the sorted site indices and their log mass under ``mask_mode``
-    (see ``mask_log_mass``).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    table, z = _size_table(probs, s_max)
+def _draw_mask(probs, table, z, s_max, rng, mask_mode) -> tuple[np.ndarray, float]:
+    # sample_mask from the size table and Z(p) of probs
     if z <= 0.0:
         raise MaskSamplingError(
             f"no mask with 1 <= |S| <= {s_max} has positive probability "
@@ -269,15 +257,31 @@ def sample_mask(
             if k == 0:
                 break
     sites = np.array(picked[::-1], dtype=np.int64)
-    raw = _log_product(sites, probs)
-    return sites, raw if mask_mode == "paper" else raw - float(np.log(z))
+    return sites, _log_mass(sites, probs, z, mask_mode)
+
+
+def sample_mask(
+    probs: np.ndarray, s_max: int, rng: Rng, mask_mode: str = "exact"
+) -> tuple[np.ndarray, float]:
+    """Draw a site set from the Bernoulli product conditioned on 1 <= |S| <= s_max.
+
+    Conditional-Bernoulli sampling (Chen, Dempster & Liu 1994) from the size
+    table: |S| = k by inverse CDF over P(|S| = k), k = 1..s_max, summed in
+    index order; then sites from the last to the first, site i taken with
+    probability p_i P(k-1 among sites < i) / P(k among sites <= i) while k
+    remain to place. One uniform for the size and at most one per site.
+    Raises MaskSamplingError only when Z(p) = 0.
+
+    Returns the sorted site indices and their log mass under ``mask_mode``
+    (see ``mask_log_mass``).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    table, z = _size_table(probs, s_max)
+    return _draw_mask(probs, table, z, s_max, rng, mask_mode)
 
 
 @dataclass
-class JumpProposal:
-    logits: np.ndarray
-    energy: float
-    gradient: np.ndarray
+class JumpProposal(ChainState):
     sites: np.ndarray
     forward_tokens: np.ndarray
     reference_tokens: np.ndarray
@@ -299,26 +303,23 @@ def jump_propose(
     Sites outside the mask are untouched. Draw order is fixed (sites
     ascending; forward token then reference token) so runs replay exactly.
     """
-    probs = mask_probabilities(state.gradient, cfg.kappa, cfg.epsilon)
-    sites, log_mass = sample_mask(probs, cfg.s_max, rng, cfg.mask_mode)
+    probs, table, z, log_cond = state.jump_terms(cfg, model)
+    sites, log_mass = _draw_mask(probs, table, z, cfg.s_max, rng, cfg.mask_mode)
 
-    log_cond = model.log_conditionals_from_logits(state.logits, cfg.tau)
     cond = np.exp(log_cond)
     vocab = state.logits.shape[1]
 
-    proposed = state.logits.copy()
     forward = np.empty(sites.size, dtype=np.int64)
     reference = np.empty(sites.size, dtype=np.int64)
     log_plm = 0.0
     for pos, site in enumerate(sites):
-        y_plus = rng.categorical(cond[site])
-        y_minus = rng.integer(vocab)
-        forward[pos] = y_plus
-        reference[pos] = y_minus
-        if y_plus != y_minus:  # identity swaps leave the row bit-identical
-            proposed[site, y_plus] += cfg.gamma
-            proposed[site, y_minus] -= cfg.gamma
-        log_plm += float(log_cond[site, y_plus])
+        forward[pos] = rng.categorical(cond[site])
+        reference[pos] = rng.integer(vocab)
+        log_plm += float(log_cond[site, forward[pos]])
+    swapped = forward != reference  # identity swaps leave the row bit-identical
+    proposed = state.logits.copy()
+    proposed[sites[swapped], forward[swapped]] += cfg.gamma
+    proposed[sites[swapped], reference[swapped]] -= cfg.gamma
 
     value, grad = energy.evaluate(proposed)
     finite = bool(np.isfinite(value) and np.all(np.isfinite(grad)))
@@ -338,14 +339,13 @@ def jump_accept(
 
     min(0, -beta (E' - E) + log m(S | proposed) - log m(S | current)
            + sum_i [log p_i(y-_i | proposed) - log p_i(y+_i | current)])
-    with mask masses m under cfg.mask_mode and mask probabilities at the
-    proposed state recomputed from its own gradient.
+    with mask masses m under cfg.mask_mode. The reverse terms are the
+    proposal's own jump terms, which it keeps if it becomes the next state.
     """
     if not proposal.finite:
         return -np.inf
-    probs_rev = mask_probabilities(proposal.gradient, cfg.kappa, cfg.epsilon)
-    log_mass_rev = mask_log_mass(proposal.sites, probs_rev, cfg.s_max, cfg.mask_mode)
-    log_cond_rev = model.log_conditionals_from_logits(proposal.logits, cfg.tau)
+    probs_rev, _, z_rev, log_cond_rev = proposal.jump_terms(cfg, model)
+    log_mass_rev = _log_mass(proposal.sites, probs_rev, z_rev, cfg.mask_mode)
     log_plm_rev = float(log_cond_rev[proposal.sites, proposal.reference_tokens].sum())
     ratio = (
         -cfg.beta * (proposal.energy - state.energy)
@@ -368,7 +368,7 @@ def step(
     rng: Rng,
 ) -> tuple[ChainState, MoveRecord]:
     """One mixture-kernel transition. Draw order: kernel coin, proposal
-    draws, acceptance uniform. A rejection returns ``state`` itself."""
+    draws, acceptance uniform. Returns the accepted proposal or ``state`` itself."""
     if rng.uniform() > cfg.p_jump:
         proposal = walk_propose(state, cfg, energy, rng)
         log_alpha = walk_accept(state, proposal, cfg)
@@ -381,9 +381,7 @@ def step(
         kind, mask_size = "jump", int(proposal.sites.size)
 
     accepted = bool(rng.uniform() < np.exp(log_alpha))
-    if accepted:
-        state = ChainState(proposal.logits, proposal.energy, proposal.gradient)
-    return state, MoveRecord(kind, log_alpha, accepted, mask_size)
+    return (proposal if accepted else state), MoveRecord(kind, log_alpha, accepted, mask_size)
 
 
 @dataclass
@@ -451,6 +449,8 @@ def run_chain(
         rng = Rng(0)
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
+    if cfg.p_jump > 0 and cfg.steps > 0 and model is None:
+        raise ValueError("p_jump > 0 requires a masked sequence model")
     counting = CountingEnergy(energy)
     local_cfg = dataclasses.replace(cfg)
     state = ChainState.initialize(logits0, counting)

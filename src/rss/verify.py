@@ -497,6 +497,8 @@ def run_validation_suite(
     for key, count in (("n_sequences", n_sequences), ("k_mc", k_mc), ("k_variants", k_variants)):
         if count < 1:
             raise ValueError(f"{key} must be >= 1")
+    if n_libraries < 0:
+        raise ValueError("n_libraries must be >= 0")
     base_config = {
         "seed": seed,
         "L": length,

@@ -790,10 +790,32 @@ class TestConfigErrors:
                                      "got L = 2, K = 5"),
         ("vocab = 5", "vocab = 2", "the validation suite needs L >= 3 and K >= 3, "
                                    "got L = 8, K = 2"),
-    ], ids=["tau", "k_mc", "k_variants", "n_sequences", "length", "vocab"])
+        # it used to exit 0 and echo n_libraries = -2 into validation.json
+        ("n_libraries = 4", "n_libraries = -2", "n_libraries must be >= 0"),
+    ], ids=["tau", "k_mc", "k_variants", "n_sequences", "length", "vocab", "n_libraries"])
     def test_validate_value_exit_two(self, tmp_path, capsys, old, new, message):
         self.check_rejected(tmp_path, capsys, "validate", TestValidate.CONFIG.replace(old, new),
                             message)
+
+    # a configured file that does not exist used to exit 1
+    @pytest.mark.parametrize("command, key", [
+        ("run", "[model] file"),
+        ("bench", "[bench] landscape_file"),
+        ("run", "[energy] file"),
+        ("calibrate", "[calibrate] reference_file"),
+    ], ids=["model", "landscape", "energy", "reference"])
+    def test_missing_file_exit_two(self, tmp_path, capsys, command, key):
+        missing = tmp_path / "missing.txt"
+        section, name = key.split()
+        text = {
+            "[model] file": RUN_CONFIG.format(steps=5),
+            "[bench] landscape_file": TestPinnedBytes.BENCH_CONFIG,
+            "[energy] file": RUN_CONFIG.format(steps=5).replace(
+                "kind = gaussian", "kind = landscape-file"),
+            "[calibrate] reference_file": TestCalibrate.CONFIG,
+        }[key].replace(f"{section}\n", f"{section}\n{name} = {missing}\n")
+        self.check_rejected(tmp_path, capsys, command, text,
+                            f"[Errno 2] No such file or directory: '{missing}'")
 
     def test_zero_calibrate_contexts_exit_two(self, tmp_path, capsys):
         text = TestCalibrate.CONFIG.replace("n_contexts = 30", "n_contexts = 0")

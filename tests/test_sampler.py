@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import rss.sampler
 from rss.core import Rng
 from rss.energy import CompositeEnergy, GaussianEnergy, PairwiseContactEnergy
 from rss.sampler import (
@@ -396,6 +398,90 @@ class TestJump:
         assert log_alpha == manual
 
 
+class TestJumpTerms:
+    """A state computes its mask probabilities, size table, Z(p) and
+    masked-model log-conditionals once per (kappa, epsilon, s_max, tau, model)."""
+
+    def test_computed_once_per_state(self, monkeypatch):
+        # p_jump = 1: the start state once, then each proposal once when it
+        # is priced; an accepted proposal brings its terms to its next jump
+        # and a rejected jump leaves the state's terms in place
+        counts = {"mask_probabilities": 0, "log_conditionals_from_logits": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(rss.sampler, "mask_probabilities")
+        counted(MaskedSequenceModel, "log_conditionals_from_logits")
+        length, vocab, steps = 8, 5, 300
+        energy = GaussianEnergy(Rng(60).normal((length, vocab)), 1.0)
+        model8 = MaskedSequenceModel.random(length, vocab, 8, Rng(61))
+        cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=1.0, gamma=1.0, steps=steps)
+        sink = io.StringIO()
+        summary = run_chain(Rng(62).normal((length, vocab)), cfg, energy, model=model8,
+                            rng=Rng(63), trace=sink)
+        rows = [line.split(",") for line in sink.getvalue().strip().split("\n")[1:]]
+        assert summary.moves("jump")[0] == steps
+        assert 0 < summary.moves("jump")[1] < steps
+        assert all(float(row[3]) > -math.inf for row in rows)  # every proposal finite
+        assert counts == {"mask_probabilities": steps + 1,
+                          "log_conditionals_from_logits": steps + 1}
+
+    @pytest.mark.parametrize("change", ["kappa", "s_max", "tau", "model"])
+    def test_reused_state_matches_fresh_state(self, gaussian, model, change):
+        cfg = SamplerConfig(beta=1.0, eta=0.1, gamma=1.5, kappa=0.5, s_max=2)
+        other = {"kappa": dataclasses.replace(cfg, kappa=0.9),
+                 "s_max": dataclasses.replace(cfg, s_max=3),
+                 "tau": dataclasses.replace(cfg, tau=1.7),
+                 "model": cfg}[change]
+        other_model = MaskedSequenceModel.random(L, K, 8, Rng(64)) if change == "model" else model
+        logits = Rng(65).normal((L, K))
+        reused = ChainState.initialize(logits, gaussian)
+        fresh = ChainState.initialize(logits, gaussian)
+        first = jump_propose(reused, cfg, gaussian, model, Rng(66))
+        jump_accept(reused, first, cfg, model)
+
+        # the two keys give different terms, so stale terms would show
+        _, _, z, log_cond = reused.jump_terms(cfg, model)
+        _, _, z2, log_cond2 = fresh.jump_terms(other, other_model)
+        assert z != z2 or not np.array_equal(log_cond, log_cond2)
+
+        again = jump_propose(reused, other, gaussian, other_model, Rng(67))
+        expected = jump_propose(fresh, other, gaussian, other_model, Rng(67))
+        for name in ("logits", "sites", "forward_tokens", "reference_tokens"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(expected, name))
+        assert again.log_mass_forward == expected.log_mass_forward
+        assert again.log_plm_forward == expected.log_plm_forward
+        # a proposal priced under the first config, then under the second
+        jump_accept(reused, again, cfg, model)
+        assert (jump_accept(reused, again, other, other_model)
+                == jump_accept(fresh, expected, other, other_model))
+
+    @pytest.mark.parametrize("p_jump", [0.0, 1.0])
+    def test_accepted_proposal_is_the_next_state(self, gaussian, model, monkeypatch, p_jump):
+        proposals = []
+        for name in ("walk_propose", "jump_propose"):
+            def recorder(*args, _propose=getattr(rss.sampler, name)):
+                proposals.append(_propose(*args))
+                return proposals[-1]
+            monkeypatch.setattr(rss.sampler, name, recorder)
+        cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=p_jump, gamma=1.0)
+        state = ChainState.initialize(Rng(68).normal((L, K)), gaussian)
+        rng = Rng(69)
+        outcomes = set()
+        for _ in range(100):
+            next_state, record = step(state, cfg, gaussian, model, rng)
+            assert next_state is (proposals[-1] if record.accepted else state)
+            outcomes.add(record.accepted)
+            state = next_state
+        assert outcomes == {True, False}
+
+
 class TestStep:
     def test_pjump_zero_only_walks(self, gaussian, model):
         cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=0.0)
@@ -440,6 +526,23 @@ class TestStep:
 
 
 class TestRunChain:
+    def test_jumping_chain_without_model_fails_before_evaluating(self):
+        # it used to raise only at the first drawn jump, after trace rows
+        class CountedEnergy(GaussianEnergy):
+            calls = 0
+
+            def evaluate(self, logits):
+                CountedEnergy.calls += 1
+                return super().evaluate(logits)
+
+        cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=0.2, steps=50)
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="p_jump > 0 requires a masked sequence model"):
+            run_chain(Rng(70).normal((L, K)), cfg, CountedEnergy(np.zeros((L, K)), 1.0),
+                      rng=Rng(71), trace=sink)
+        assert sink.getvalue() == ""
+        assert CountedEnergy.calls == 0
+
     def test_zero_steps(self, gaussian):
         cfg = SamplerConfig(beta=1.0, eta=0.1, steps=0, burn_in=5)
         logits0 = Rng(25).normal((L, K))
