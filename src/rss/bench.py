@@ -34,7 +34,6 @@ METHODS = ("rss", "rso", "rso-noplm")
 @dataclass
 class RsoTrajectory:
     states: list                  # logit matrices, one per step plus the start
-    energies: np.ndarray          # energy at every state in ``states``
     diverged: bool
     energy_evaluations: int
 
@@ -53,8 +52,8 @@ def run_rso(logits0, energy: EnergyModel, eta: float, steps: int) -> RsoTrajecto
     counting = CountingEnergy(energy)
     state = as_logits(logits0, energy.shape).copy()
     states = [state.copy()]
-    energies = []
     diverged = False
+    previous = np.inf
     rising = 0
     for _ in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -62,15 +61,11 @@ def run_rso(logits0, energy: EnergyModel, eta: float, steps: int) -> RsoTrajecto
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             diverged = True
             break
-        if energies and value > energies[-1]:
-            rising += 1
-            if rising >= 100:
-                energies.append(value)
-                diverged = True
-                break
-        else:
-            rising = 0
-        energies.append(value)
+        rising = rising + 1 if value > previous else 0
+        if rising >= 100:
+            diverged = True
+            break
+        previous = value
         state = state - eta * grad
         if not np.all(np.isfinite(state)):
             diverged = True
@@ -78,14 +73,8 @@ def run_rso(logits0, energy: EnergyModel, eta: float, steps: int) -> RsoTrajecto
         states.append(state.copy())
     else:
         # final-state evaluation keeps the evaluation count at steps + 1
-        value, _ = counting.evaluate(state)
-        energies.append(value)
-    return RsoTrajectory(
-        states=states,
-        energies=np.asarray(energies, dtype=np.float64),
-        diverged=diverged,
-        energy_evaluations=counting.calls,
-    )
+        counting.evaluate(state)
+    return RsoTrajectory(states=states, diverged=diverged, energy_evaluations=counting.calls)
 
 
 def cluster_sequences(seqs, radius: int) -> np.ndarray:
@@ -113,10 +102,7 @@ def cluster_sequences(seqs, radius: int) -> np.ndarray:
 
 def unique_sequences(seqs) -> np.ndarray:
     """De-duplicated rows in canonical (lexicographically sorted) order."""
-    seqs = np.asarray(seqs, dtype=np.int64)
-    if seqs.shape[0] == 0:
-        return seqs.reshape(0, seqs.shape[1] if seqs.ndim == 2 else 0)
-    return np.unique(seqs, axis=0)
+    return np.unique(np.asarray(seqs, dtype=np.int64), axis=0)
 
 
 def designable_surrogate(seqs, energy: PairwiseContactEnergy, threshold: float) -> np.ndarray:
@@ -126,8 +112,6 @@ def designable_surrogate(seqs, energy: PairwiseContactEnergy, threshold: float) 
     energies, ``landscape.quantile(q)``.
     """
     uniq = unique_sequences(seqs)
-    if uniq.shape[0] == 0:
-        return uniq
     return uniq[energy.discrete_energies(uniq) < threshold]
 
 
@@ -180,9 +164,10 @@ class CampaignConfig:
             raise ValueError("seeds must be >= 1")
         if self.step_budget < 0:
             raise ValueError("step_budget must be >= 0")
-        if self.lam < 0:
+        # `not x >= 0`, not `x < 0`, so that NaN fails too
+        if not self.lam >= 0:
             raise ValueError("prior weight lam must be >= 0")
-        if self.ridge_scale < 0:
+        if not self.ridge_scale >= 0:
             raise ValueError("ridge_scale must be >= 0")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
@@ -276,8 +261,10 @@ def compose_energy(
 ) -> EnergyModel:
     """base (+ ridge Gaussian, weight 1) (+ lam * SoftPlm at tau), nested in
     that order; a zero ridge_scale or lam leaves its term out."""
-    if ridge_scale < 0:
+    if not ridge_scale >= 0:  # written so that NaN fails too
         raise ValueError("ridge_scale must be >= 0")
+    if lam > 0 and model is None:
+        raise ValueError("lam > 0 requires a masked sequence model")
     energy = base
     if ridge_scale > 0:
         # bounded coupling energies make exp(-beta E) improper over logit

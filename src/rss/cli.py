@@ -5,7 +5,7 @@ sections or keys are rejected, and every run echoes a fully-resolved copy
 of its configuration (defaults filled in) into the output directory, so any
 output can be reproduced byte-for-byte from its own echo. Exit codes:
 0 success, 1 runtime failure (partial outputs flushed), 2 configuration
-error.
+error, such as a non-finite float value.
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ def _parse_value(kind, raw: str):
         if word not in _BOOL_WORDS:
             raise ValueError(f"expected a boolean, got {raw!r}")
         return _BOOL_WORDS[word]
-    return kind(raw)
+    value = kind(raw)
+    if kind is float and not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _format_value(value) -> str:
@@ -355,19 +358,10 @@ def cmd_run(values: dict, out: str) -> int:
 
 def cmd_validate(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
-    vcfg = values["validate"]
     model = _build_model(values["model"])
-    # every input of the suite is configured, so its ValueError exits 2
-    reports = _from_config(
-        run_validation_suite,
-        model,
-        seed,
-        n_sequences=vcfg["n_sequences"],
-        n_libraries=vcfg["n_libraries"],
-        tau=vcfg["tau"],
-        k_mc=vcfg["k_mc"],
-        k_variants=vcfg["k_variants"],
-    )
+    # every input of the suite is configured, so its ValueError exits 2;
+    # the [validate] keys are the suite's keyword parameters
+    reports = _from_config(run_validation_suite, model, seed, **values["validate"])
     write_text(os.path.join(out, "validation.json"), reports_to_json(reports, meta=_meta(seed)))
 
     lines = ["metric\tvalue\tn"]

@@ -31,10 +31,8 @@ class Rng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def normal(self, shape=None) -> np.ndarray | float:
-        """Standard normal scalar (shape=None) or array."""
-        if shape is None:
-            return float(self._gen.standard_normal())
+    def normal(self, shape) -> np.ndarray:
+        """Standard normal array of the given shape."""
         return self._gen.standard_normal(shape)
 
     def uniform(self) -> float:
@@ -164,11 +162,15 @@ def kl_divergence(p, q) -> float:
     return float(_kl(*_check_simplex_pair(p, q)))
 
 
+def _js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unchecked Jensen-Shannon divergence along the last axis."""
+    mid = 0.5 * (p + q)
+    return 0.5 * _kl(p, mid) + 0.5 * _kl(q, mid)
+
+
 def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence (natural log, midpoint mixture); in [0, ln 2]."""
-    p, q = _check_simplex_pair(p, q)
-    mid = 0.5 * (p + q)
-    return float(0.5 * _kl(p, mid) + 0.5 * _kl(q, mid))
+    return float(_js(*_check_simplex_pair(p, q)))
 
 
 def finite_diff_gradient(fn, logits, h: float = 1e-5) -> np.ndarray:

@@ -55,7 +55,7 @@ class CompositeEnergy(EnergyModel):
     """
 
     def __init__(self, structural: EnergyModel, prior: EnergyModel, lam: float):
-        if lam < 0:
+        if not lam >= 0:  # written so that NaN fails too
             raise ValueError("prior weight lam must be >= 0")
         if structural.shape != prior.shape:
             raise ValueError(
@@ -229,6 +229,7 @@ class LandscapeGenerationError(RuntimeError):
 MAX_ENUMERATION = 10_000_000
 PLANT_NOISE_SCALE = 0.05  # random fields and couplings, relative to the planted coupling
 PLANT_RETRIES = 50        # fresh draws before planting gives up
+SEPARATION_ATTEMPTS = 10_000  # candidate sequences per draw of separated modes
 ENUMERATION_BLOCK = 16_384  # rows; a block's index arrays and gathers stay near 16 MB
 
 
@@ -283,9 +284,9 @@ class PlantedLandscape:
         return float(np.quantile(self.energies, q))
 
 
-def _draw_separated_sequences(length, vocab, n_modes, rng: Rng, attempts=10_000):
+def _draw_separated_sequences(length, vocab, n_modes, rng: Rng):
     modes: list[np.ndarray] = []
-    for _ in range(attempts):
+    for _ in range(SEPARATION_ATTEMPTS):
         cand = np.array([rng.integer(vocab) for _ in range(length)], dtype=np.int64)
         if all(hamming_distance(cand, m) >= 2 for m in modes):
             modes.append(cand)

@@ -26,6 +26,7 @@ from .softplm import MaskedSequenceModel
 from .textio import read_blocks, write_blocks
 
 MASK_MODES = ("paper", "exact")
+MASK_EPSILON = 1e-8     # stabilizer in mask_probabilities' denominator; not a setting
 
 
 class MaskSamplingError(RuntimeError):
@@ -49,7 +50,6 @@ class SamplerConfig:
     kappa: float = 0.5
     gamma: float = 2.0
     tau: float = 1.0
-    epsilon: float = 1e-8
     steps: int = 1000
     s_max: int = 3
     mask_mode: str = "exact"
@@ -57,9 +57,10 @@ class SamplerConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        for name in ("beta", "eta", "gamma", "tau", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("beta", "eta", "gamma", "tau"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be {'positive' if value <= 0 else 'finite'}")
         if not 0.0 <= self.p_jump <= 1.0:
             raise ValueError("p_jump must lie in [0, 1]")
         if not 0.0 < self.kappa <= 1.0:
@@ -94,10 +95,10 @@ class ChainState:
     def jump_terms(self, cfg: SamplerConfig, model: MaskedSequenceModel) -> tuple:
         """(probs, table, z, log_cond): the state's mask probabilities, their
         size table and Z(p), and its masked-model log-conditionals at cfg.tau,
-        computed once per key (kappa, epsilon, s_max, tau, model)."""
-        key = (cfg.kappa, cfg.epsilon, cfg.s_max, cfg.tau, model)
+        computed once per key (kappa, s_max, tau, model)."""
+        key = (cfg.kappa, cfg.s_max, cfg.tau, model)
         if self._jump[0] != key:
-            probs = mask_probabilities(self.gradient, cfg.kappa, cfg.epsilon)
+            probs = mask_probabilities(self.gradient, cfg.kappa)
             log_cond = model.log_conditionals_from_logits(self.logits, cfg.tau)
             self._jump = key, (probs, *_size_table(probs, cfg.s_max), log_cond)
         return self._jump[1]
@@ -174,10 +175,10 @@ def walk_accept(state: ChainState, proposal: WalkProposal, cfg: SamplerConfig) -
 # --- jump kernel (masked-model guided swaps) --------------------------------
 
 
-def mask_probabilities(gradient: np.ndarray, kappa: float, epsilon: float) -> np.ndarray:
+def mask_probabilities(gradient: np.ndarray, kappa: float) -> np.ndarray:
     """Per-site selection probabilities from gradient row norms.
 
-    p_i = min(1, kappa * ||g_i|| / (max_j ||g_j|| + epsilon)). If every row
+    p_i = min(1, kappa * ||g_i|| / (max_j ||g_j|| + MASK_EPSILON)). If every row
     norm is zero the formula gives all-zero probabilities and no mask could
     ever be drawn; that degenerate case falls back to uniform p_i = kappa/L.
     """
@@ -186,7 +187,7 @@ def mask_probabilities(gradient: np.ndarray, kappa: float, epsilon: float) -> np
     top = norms.max()
     if top == 0.0:
         return np.full(grad.shape[0], kappa / grad.shape[0])
-    return np.minimum(1.0, kappa * norms / (top + epsilon))
+    return np.minimum(1.0, kappa * norms / (top + MASK_EPSILON))
 
 
 def _size_table(probs: np.ndarray, s_max: int) -> tuple[list[list[float]], float]:

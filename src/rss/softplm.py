@@ -115,13 +115,10 @@ class MaskedSequenceModel:
 
     def _forward(self, q: np.ndarray):
         # returns (logits, intermediates for backprop) on checked rows q
-        length = q.shape[0]
         z = q @ self.embed                       # (L, d)
         ctx = z + self.positional                # (L, d)
-        if length > 1:
-            loo = (ctx.sum(axis=0)[None, :] - ctx) / (length - 1.0)
-        else:
-            loo = np.zeros_like(ctx)             # empty mean convention
+        # at L = 1 the difference is exactly 0.0: the empty mean is 0
+        loo = (ctx.sum(axis=0)[None, :] - ctx) / max(q.shape[0] - 1, 1)
         pre = loo @ self.mix.T + self.mask_embed[None, :] + self.positional
         hidden = np.tanh(pre)                    # (L, d)
         logits = hidden @ self.readout + self.bias[None, :]
@@ -184,7 +181,6 @@ class SoftPlmEnergy(EnergyModel):
 
     def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
         model, tau = self.model, self.tau
-        length = logits.shape[0]
 
         q = softmax_rows(logits)
         raw, hidden = model._forward(q)
@@ -197,10 +193,7 @@ class SoftPlmEnergy(EnergyModel):
         g_hidden = g_raw @ model.readout.T
         g_pre = (1.0 - hidden * hidden) * g_hidden
         g_loo = g_pre @ model.mix                       # rows: mix^T g_pre_i
-        if length > 1:
-            g_ctx = (g_loo.sum(axis=0)[None, :] - g_loo) / (length - 1.0)
-        else:
-            g_ctx = np.zeros_like(g_loo)
+        g_ctx = (g_loo.sum(axis=0)[None, :] - g_loo) / max(logits.shape[0] - 1, 1)
         dq_context = g_ctx @ model.embed.T
 
         # outer pathway: dE/dq_i holding conditionals fixed

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LOG_FLOOR, Rng, _kl, as_logits, cross_entropy, kl_divergence, one_hot,
+from .core import (LOG_FLOOR, Rng, _js, as_logits, cross_entropy, kl_divergence, one_hot,
                    softmax_rows)
 from .energy import EnergyModel
 from .sampler import SamplerConfig, mask_log_mass, mask_probabilities
@@ -129,7 +129,7 @@ def onehot_fidelity(
         kls.append(kl_divergence(discrete[site], soft[site]))
         native = tokens[site]
         others = [b for b in range(vocab) if b != native]
-        disc_log = np.log(np.maximum(discrete[site], 1e-300))
+        disc_log = np.log(np.maximum(discrete[site], LOG_FLOOR))
         deltas = [-disc_log[b] + disc_log[native] for b in others]
         grads = [-soft_log[site, b] + soft_log[site, native] for b in others]
         rho = spearman(deltas, grads)
@@ -200,8 +200,7 @@ def mixture_consistency(
                     draw[site] = rng.categorical(marg[site])
                 p_mc += model.conditionals_from_tokens(draw, tau)
             p_mc /= k_mc
-            mid = 0.5 * (p_soft + p_mc)
-            js_vals.append(0.5 * _kl(p_soft, mid) + 0.5 * _kl(p_mc, mid))
+            js_vals.append(_js(p_soft, p_mc))
             hits += int((np.argmax(p_soft, axis=1) == np.argmax(p_mc, axis=1)).sum())
             total += length
         rows.append(
@@ -326,7 +325,7 @@ def library_ranking(
             if key not in nll_of:
                 cond = model.conditionals_from_tokens(variant, tau)
                 nll_of[key] = -float(
-                    np.log(np.maximum(cond[lib.sites, variant[lib.sites]], 1e-300)).sum()
+                    np.log(np.maximum(cond[lib.sites, variant[lib.sites]], LOG_FLOOR)).sum()
                 )
             nlls.append(nll_of[key])
         mean_scores.append(float(np.mean(nlls)))
@@ -411,8 +410,8 @@ def enumerate_jump_flow(
 
     e_a, g_a = energy.evaluate(a)
     e_b, g_b = energy.evaluate(b)
-    p_a = mask_probabilities(g_a, cfg.kappa, cfg.epsilon)
-    p_b = mask_probabilities(g_b, cfg.kappa, cfg.epsilon)
+    p_a = mask_probabilities(g_a, cfg.kappa)
+    p_b = mask_probabilities(g_b, cfg.kappa)
     log_cond_a = model.log_conditionals_from_logits(a, cfg.tau)
     log_cond_b = model.log_conditionals_from_logits(b, cfg.tau)
 
@@ -474,7 +473,6 @@ def run_validation_suite(
     n_sequences: int = 100,
     n_libraries: int = 20,
     tau: float = 1.0,
-    eps_grid=EPS_GRID_DEFAULT,
     k_mc: int = K_MC_DEFAULT,
     k_variants: int = K_VARIANTS_DEFAULT,
 ) -> dict[str, ValidationReport]:
@@ -482,7 +480,7 @@ def run_validation_suite(
 
     Families and their protocol constants: one-hot fidelity (KL and the
     gradient-vs-substitution Spearman at one site per sequence), mixture
-    consistency (BLUR_FRACTION blur, eps grid, k_mc reference draws), library
+    consistency (BLUR_FRACTION blur, EPS_GRID_DEFAULT, k_mc reference draws), library
     ranking (LIBRARY_SITES sites with OPTION_SIZE options, k_variants draws).
     The arguments are checked before the first forward.
     """
@@ -519,12 +517,11 @@ def run_validation_suite(
                         ("grad_spearman_median", fid.spearman_median)):
         report(f"onehot_fidelity_{name}", value, fid.sample_count, sites_per_sequence=1)
 
-    for row in mixture_consistency(
-        model, sequences, Rng(seed + 2), eps_grid=eps_grid, k_mc=k_mc, tau=tau
-    ):
+    for row in mixture_consistency(model, sequences, Rng(seed + 2), k_mc=k_mc, tau=tau):
         for name, value in (("js", row.mean_js), ("top1", row.top1_agreement)):
             report(f"mixture_{name}_eps{row.eps:.1f}", value, row.sample_count,
-                   blur_fraction=BLUR_FRACTION, eps_grid=list(eps_grid), k_mc=k_mc, eps=row.eps)
+                   blur_fraction=BLUR_FRACTION, eps_grid=list(EPS_GRID_DEFAULT), k_mc=k_mc,
+                   eps=row.eps)
 
     lib_rng = Rng(seed + 3)
     libraries = random_libraries(length, vocab, n_libraries, lib_rng)

@@ -180,8 +180,8 @@ def _criterion_3():
             resp = enumerate_jump_flow(energy, model, cfg_paper, a, b)
             _, g_a = energy.evaluate(a)
             _, g_b = energy.evaluate(b)
-            z_a = mask_normalizer(mask_probabilities(g_a, 0.5, cfg_paper.epsilon), 2)
-            z_b = mask_normalizer(mask_probabilities(g_b, 0.5, cfg_paper.epsilon), 2)
+            z_a = mask_normalizer(mask_probabilities(g_a, 0.5), 2)
+            z_b = mask_normalizer(mask_probabilities(g_b, 0.5), 2)
             gap = (resp.log_forward - resp.log_reverse) - (math.log(z_b) - math.log(z_a))
             worst_paper = max(worst_paper, abs(gap))
             pairs += 1

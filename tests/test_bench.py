@@ -10,6 +10,7 @@ from rss import bench
 from rss.bench import (
     CampaignConfig,
     cluster_sequences,
+    compose_energy,
     designable_surrogate,
     mode_occupancy,
     run_campaign,
@@ -140,6 +141,12 @@ class TestDesignableSurrogate:
         kept = designable_surrogate(all_seqs, built.energy, built.quantile(0.05))
         assert kept.shape[0] == int((energies < np.quantile(energies, 0.05)).sum())
         assert kept.shape[0] == 52
+
+    def test_empty_input_gives_empty_rows(self, landscape):
+        empty = np.zeros((0, 6), dtype=np.int64)
+        for rows in (unique_sequences(empty),
+                     designable_surrogate(empty, landscape.energy, landscape.quantile(0.5))):
+            assert rows.shape == (0, 6) and rows.dtype == np.int64
 
     def test_non_enumerable_energy_needs_explicit_threshold(self):
         from rss.energy import PairwiseContactEnergy
@@ -274,6 +281,20 @@ class TestCampaign:
     def test_lam_requires_model(self, landscape):
         with pytest.raises(ValueError):
             self.make_config(landscape, None, lam=0.5)
+
+    def test_compose_energy_lam_requires_model(self, landscape):
+        # it used to raise AttributeError on the missing model's shape
+        with pytest.raises(ValueError, match="lam > 0 requires a masked sequence model"):
+            compose_energy(landscape.energy, 0.0, None, 0.5, 1.0)
+
+    @pytest.mark.parametrize("key", ["lam", "ridge_scale"])
+    def test_nan_weight_rejected(self, landscape, model, key):
+        # NaN used to pass `x < 0`; compose_energy then dropped a NaN ridge
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+            self.make_config(landscape, model, **{key: float("nan")})
+        weights = {"lam": 0.0, "ridge_scale": 0.0, key: float("nan")}
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+            compose_energy(landscape.energy, weights["ridge_scale"], model, weights["lam"], 1.0)
 
     def test_jump_kernel_requires_model(self, landscape):
         # rss with p_jump > 0 needs the model even at lam = 0; rso does not

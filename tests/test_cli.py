@@ -114,6 +114,13 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_epsilon_is_unknown_key(self, tmp_path, capsys):
+        # the mask-probability stabilizer is a constant, not a setting
+        cfg = write(tmp_path / "run.ini", RUN_CONFIG.format(steps=10).replace(
+            "gamma = 1.5", "gamma = 1.5\nepsilon = 1e-8"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'epsilon' in section [sampler]" in capsys.readouterr().err
+
     def test_refuses_nonempty_outdir_without_force(self, tmp_path):
         cfg = write(tmp_path / "run.ini", RUN_CONFIG.format(steps=5))
         out = tmp_path / "out"
@@ -843,6 +850,26 @@ class TestConfigErrors:
         # it used to exit 1 after writing trace.csv's header
         self.check_rejected(tmp_path, capsys, "run", RUN_CONFIG.format(steps=5).replace(old, new),
                             f"logit matrix needs L >= 1 and K >= 2, got {shape}")
+
+    # a non-finite number used to run: ridge_scale = nan wrote the trace of
+    # ridge_scale = 0.0 and exited 0, beta = nan vetoed every walk and
+    # accepted every jump, and [bench] lam = nan exited 1 with "compute
+    # parity violated"
+    @pytest.mark.parametrize("command, section, old, new", [
+        ("run", "sampler", "beta = 4.0", "beta = nan"),
+        ("run", "sampler", "beta = 4.0", "beta = inf"),
+        ("run", "energy", "ridge_scale = 1.0", "ridge_scale = nan"),
+        ("run", "energy", "lambda = 0.1", "lambda = nan"),
+        ("bench", "bench", "lam = 0.1", "lam = nan"),
+    ], ids=["beta-nan", "beta-inf", "ridge_scale-nan", "lambda-nan", "bench-lam-nan"])
+    def test_non_finite_value_exit_two(self, tmp_path, capsys, command, section, old, new):
+        text = {"run": TestPinnedBytes.CONFIG.format(p_jump=0.3),
+                "bench": TestPinnedBytes.BENCH_CONFIG}[command]
+        key, raw = new.split(" = ")
+        (tmp_path / "o").mkdir()
+        self.check_rejected(tmp_path, capsys, command, text.replace(old, new),
+                            f"bad value for '{key}' in section [{section}]: "
+                            f"expected a finite number, got '{raw}'")
 
     @pytest.mark.parametrize("methods, echo", [(",", "[]"), ("rso,rso", "['rso', 'rso']")],
                              ids=["empty", "repeated"])

@@ -164,17 +164,17 @@ class TestMaskProbabilities:
         grad = np.zeros((2, 2))
         grad[0] = [3.0, 0.0]
         grad[1] = [0.0, 4.0]
-        p = mask_probabilities(grad, kappa=1.0, epsilon=1e-8)
+        p = mask_probabilities(grad, kappa=1.0)
         np.testing.assert_allclose(p, [0.75, 1.0], atol=1e-8)
 
     def test_kappa_scales_max_row(self):
         grad = np.zeros((3, 2))
         grad[2] = [0.0, 2.0]
-        p = mask_probabilities(grad, kappa=0.5, epsilon=1e-8)
+        p = mask_probabilities(grad, kappa=0.5)
         assert abs(p[2] - 0.5) < 1e-8
 
     def test_all_zero_gradient_fallback(self):
-        p = mask_probabilities(np.zeros((5, 3)), kappa=0.8, epsilon=1e-8)
+        p = mask_probabilities(np.zeros((5, 3)), kappa=0.8)
         np.testing.assert_array_equal(p, np.full(5, 0.8 / 5))
 
 
@@ -335,7 +335,7 @@ class TestJump:
         cfg = SamplerConfig(beta=1.0, eta=0.1, gamma=2.0, s_max=2)
         rng = Rng(15)
         state = self.make_state(gaussian, rng)
-        probs = mask_probabilities(state.gradient, cfg.kappa, cfg.epsilon)
+        probs = mask_probabilities(state.gradient, cfg.kappa)
         sites = np.array([1])
         log_cond = model.log_conditionals_from_logits(state.logits, cfg.tau)
         tokens = np.array([2])
@@ -385,7 +385,7 @@ class TestJump:
         proposal = jump_propose(state, cfg, energy, model, rng)
         log_alpha = jump_accept(state, proposal, cfg, model)
         # manual recomputation
-        p_rev = mask_probabilities(proposal.gradient, cfg.kappa, cfg.epsilon)
+        p_rev = mask_probabilities(proposal.gradient, cfg.kappa)
         lc_rev = model.log_conditionals_from_logits(proposal.logits, cfg.tau)
         manual = min(
             0.0,
@@ -400,7 +400,7 @@ class TestJump:
 
 class TestJumpTerms:
     """A state computes its mask probabilities, size table, Z(p) and
-    masked-model log-conditionals once per (kappa, epsilon, s_max, tau, model)."""
+    masked-model log-conditionals once per (kappa, s_max, tau, model)."""
 
     def test_computed_once_per_state(self, monkeypatch):
         # p_jump = 1: the start state once, then each proposal once when it
@@ -704,11 +704,15 @@ class TestConfigValidation:
             {"beta": 1.0, "eta": 0.1, "kappa": 0.0},
             {"beta": 1.0, "eta": 0.1, "gamma": 0.0},
             {"beta": 1.0, "eta": 0.1, "tau": 0.0},
-            {"beta": 1.0, "eta": 0.1, "epsilon": 0.0},
             {"beta": 1.0, "eta": 0.1, "s_max": 0},
             {"beta": 1.0, "eta": 0.1, "mask_mode": "bogus"},
             {"beta": 1.0, "eta": 0.1, "steps": -1},
             {"beta": 1.0, "eta": 0.1, "burn_in": -2},
+            {"beta": float("nan"), "eta": 0.1},
+            {"beta": float("inf"), "eta": 0.1},
+            {"beta": 1.0, "eta": float("inf")},
+            {"beta": 1.0, "eta": 0.1, "gamma": float("nan")},
+            {"beta": 1.0, "eta": 0.1, "tau": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -133,6 +133,11 @@ class TestConditionals:
         tiny = MaskedSequenceModel.random(1, K, D, Rng(8))
         cond = tiny.conditionals(np.full((1, K), 1.0 / K), 1.0)
         np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-12)
+        # at L = 1 the leave-one-out mean is empty, so only the mask
+        # embedding and the site's positional row reach the readout
+        expected = np.tanh(tiny.mask_embed + tiny.positional) @ tiny.readout + tiny.bias
+        for marginals in (np.full((1, K), 1.0 / K), one_hot([2], K)):
+            np.testing.assert_array_equal(tiny.masked_logits(marginals), expected)
 
 
 class TestSoftPlmEnergy:
@@ -155,6 +160,15 @@ class TestSoftPlmEnergy:
             err = np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3))
             worst = max(worst, err)
         assert worst < 1e-5
+
+    def test_single_site_gradient_matches_central_differences(self):
+        energy = SoftPlmEnergy(MaskedSequenceModel.random(1, K, D, Rng(8)), 0.8)
+        rng = Rng(10)
+        for _ in range(10):
+            logits = rng.normal((1, K))
+            _, grad = energy.evaluate(logits)
+            fd = finite_diff_gradient(lambda x: energy.evaluate(x)[0], logits)
+            assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)) < 1e-5
 
     def test_shift_invariance(self, model):
         energy = SoftPlmEnergy(model, 1.0)

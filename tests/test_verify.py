@@ -270,8 +270,8 @@ def brute_force_log_flow(energy, model, cfg, a, b):
     normalized over the sets with 1 <= |S| <= s_max, every token pair per site."""
     length, vocab = a.shape
     (e_a, g_a), (e_b, g_b) = energy.evaluate(a), energy.evaluate(b)
-    p_a = mask_probabilities(g_a, cfg.kappa, cfg.epsilon)
-    p_b = mask_probabilities(g_b, cfg.kappa, cfg.epsilon)
+    p_a = mask_probabilities(g_a, cfg.kappa)
+    p_b = mask_probabilities(g_b, cfg.kappa)
     lc_a = model.log_conditionals_from_logits(a, cfg.tau)
     lc_b = model.log_conditionals_from_logits(b, cfg.tau)
     bits = [np.array(v, dtype=bool) for v in itertools.product((0, 1), repeat=length)
@@ -329,8 +329,8 @@ class TestEnumerateJumpFlow:
             res = enumerate_jump_flow(energy, model, cfg, a, b)
             _, g_a = energy.evaluate(a)
             _, g_b = energy.evaluate(b)
-            z_a = mask_normalizer(mask_probabilities(g_a, cfg.kappa, cfg.epsilon), cfg.s_max)
-            z_b = mask_normalizer(mask_probabilities(g_b, cfg.kappa, cfg.epsilon), cfg.s_max)
+            z_a = mask_normalizer(mask_probabilities(g_a, cfg.kappa), cfg.s_max)
+            z_b = mask_normalizer(mask_probabilities(g_b, cfg.kappa), cfg.s_max)
             mismatch = res.log_forward - res.log_reverse
             assert abs(mismatch - (math.log(z_b) - math.log(z_a))) < 1e-10
 
@@ -381,7 +381,7 @@ def build_realistic_pair(length, n_sites, seed):
 
 def log_normalizer(energy, logits, cfg):
     _, grad = energy.evaluate(logits)
-    return math.log(mask_normalizer(mask_probabilities(grad, cfg.kappa, cfg.epsilon), cfg.s_max))
+    return math.log(mask_normalizer(mask_probabilities(grad, cfg.kappa), cfg.s_max))
 
 
 class TestJumpFlowAtRealisticSizes:
