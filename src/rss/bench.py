@@ -29,6 +29,7 @@ from .sampler import SamplerConfig, run_chain
 from .softplm import MaskedSequenceModel, SoftPlmEnergy
 
 METHODS = ("rss", "rso", "rso-noplm")
+INIT_SCALE = 0.5      # every chain and descent starts from INIT_SCALE * N(0, 1) logits
 
 
 @dataclass
@@ -149,10 +150,8 @@ class CampaignConfig:
     ridge_scale: float = 0.0               # confining quadratic term; 0 disables
     rso_eta: float | None = None           # defaults to sampler.eta
     snapshot_stride: int = 50
-    cluster_radius: int | None = None      # defaults to floor(L / 4)
     designable_quantile: float = 0.05
     seed0: int = 0
-    init_scale: float = 0.5
 
     def __post_init__(self):
         for method in self.methods:
@@ -171,6 +170,10 @@ class CampaignConfig:
             raise ValueError("ridge_scale must be >= 0")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if self.seed0 < 0:
+            raise ValueError(f"seed0 must be >= 0, got {self.seed0}")
+        if self.rso_eta is not None and not self.rso_eta > 0:
+            raise ValueError(f"rso_eta must be positive, got {self.rso_eta}")
         if not 0.0 <= self.designable_quantile <= 1.0:
             raise ValueError("designable_quantile must lie in [0, 1]")
         if self.lam > 0 and self.model is None and (
@@ -179,8 +182,6 @@ class CampaignConfig:
             raise ValueError("lam > 0 requires a masked sequence model")
         if "rss" in self.methods and self.sampler.p_jump > 0 and self.model is None:
             raise ValueError("p_jump > 0 requires a masked sequence model")
-        if self.cluster_radius is None:
-            self.cluster_radius = self.landscape.energy.shape[0] // 4
 
 
 @dataclass
@@ -282,7 +283,7 @@ def _run_one_seed(cfg: CampaignConfig, method: str, seed_index: int):
     last state, which may repeat one; scoring reads unique rows only."""
     rng = Rng(cfg.seed0 + seed_index)
     shape = cfg.landscape.energy.shape
-    logits0 = cfg.init_scale * rng.normal(shape)
+    logits0 = INIT_SCALE * rng.normal(shape)
     if cfg.step_budget == 0:
         return argmax_decode(logits0)[None, :], 0
 
@@ -382,6 +383,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """
     landscape = cfg.landscape
     threshold = landscape.quantile(cfg.designable_quantile)
+    radius = landscape.energy.shape[0] // 4    # Hamming radius of a cluster
     curve_quantiles = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
     curve_thresholds = [landscape.quantile(q) for q in curve_quantiles]
 
@@ -402,7 +404,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             pooled.append(decoded)
             designable = designable_surrogate(decoded, landscape.energy, threshold)
             per_designable.append(int(designable.shape[0]))
-            per_clusters.append(_cluster_count(designable, cfg.cluster_radius))
+            per_clusters.append(_cluster_count(designable, radius))
 
         empty = np.zeros((0, landscape.energy.shape[0]), dtype=np.int64)
         pooled_unique = unique_sequences(np.concatenate(pooled or [empty]))
@@ -418,7 +420,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             per_seed_clusters=per_clusters,
             per_seed_energy_evals=per_evals,
             pooled_designable=int(pooled_designable.shape[0]),
-            pooled_clusters=_cluster_count(pooled_designable, cfg.cluster_radius),
+            pooled_clusters=_cluster_count(pooled_designable, radius),
             failed_seeds=failed,
             failure_reasons=reasons,
             curve=curve,
@@ -432,11 +434,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         "lam": cfg.lam,
         "ridge_scale": cfg.ridge_scale,
         "snapshot_stride": cfg.snapshot_stride,
-        "cluster_radius": cfg.cluster_radius,
+        "cluster_radius": radius,
         "designable_quantile": cfg.designable_quantile,
         "designable_threshold": threshold,
         "seed0": cfg.seed0,
-        "init_scale": cfg.init_scale,
+        "init_scale": INIT_SCALE,
         "landscape_seed": landscape.seed,
         "landscape_shape": list(landscape.energy.shape),
         "landscape_modes": int(landscape.modes.shape[0]),

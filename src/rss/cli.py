@@ -5,13 +5,14 @@ sections or keys are rejected, and every run echoes a fully-resolved copy
 of its configuration (defaults filled in) into the output directory, so any
 output can be reproduced byte-for-byte from its own echo. Exit codes:
 0 success, 1 runtime failure (partial outputs flushed), 2 configuration
-error, such as a non-finite float value.
+error: a value rejected while a command is built from its config.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import json
 import os
@@ -30,7 +31,7 @@ from .energy import (
     planted_landscape,
     save_landscape,
 )
-from .bench import CampaignConfig, compose_energy, run_campaign
+from .bench import INIT_SCALE, CampaignConfig, compose_energy, run_campaign
 from .sampler import SamplerConfig, run_chain, save_snapshots
 from .softplm import MaskedSequenceModel, calibrate_temperature, load_model
 from .textio import open_text, write_text
@@ -48,6 +49,7 @@ class ConfigError(Exception):
 
 
 REQUIRED = object()
+_RSO_ETA_UNSET = -1.0      # [bench] rso_eta's default: rso steps with the sampler's eta
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
@@ -152,10 +154,8 @@ _SCHEMAS = {
             "lam": (float, 0.0),
             "ridge_scale": (float, 0.0),
             "snapshot_stride": (int, 50),
-            "cluster_radius": (int, -1),
             "designable_quantile": (float, 0.05),
-            "rso_eta": (float, -1.0),
-            "init_scale": (float, 0.5),
+            "rso_eta": (float, _RSO_ETA_UNSET),
         },
     },
 }
@@ -234,46 +234,42 @@ def _meta(seed: int) -> dict:
     return {"version": __version__, "seed": seed}
 
 
+@contextlib.contextmanager
+def _configuring():
+    """A command building what it runs from its config, before it writes:
+    a ValueError on a configured value, or OSError on a configured file, exits 2."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_model(model_cfg: dict, shape: tuple[int, int] | None = None):
     """The configured masked model. ``shape`` is the energy's (L, K): a
     random model takes it, and a model file must have it. Without it the
-    size comes from [model] length and vocab. A width below 1 or a
-    non-finite weight is a configuration error."""
+    size comes from [model] length and vocab."""
     if model_cfg["file"]:
-        model = _from_config(load_model, model_cfg["file"])
+        model = load_model(model_cfg["file"])
         if shape is not None and model.shape != shape:
             raise ConfigError(f"model file {model_cfg['file']} has shape {model.shape}, "
                               f"but the energy has shape {shape}")
         return model
     length, vocab = shape if shape is not None else (model_cfg["length"], model_cfg["vocab"])
-    return _from_config(MaskedSequenceModel.random, length=length, vocab=vocab,
-                        width=model_cfg["width"], rng=Rng(model_cfg["seed"]))
+    return MaskedSequenceModel.random(length, vocab, model_cfg["width"], Rng(model_cfg["seed"]))
 
 
 def _landscape(section: dict, path: str) -> PlantedLandscape:
-    """Load ``path``, or plant from the section's keys; a value either
-    rejects is a configuration error, a failed planting is not."""
+    """Load ``path``, or plant from the section's keys."""
     if path:
-        return _from_config(load_landscape, path)
-    return _from_config(
-        planted_landscape, section["length"], section["vocab"], section["modes"],
-        section["depth"], Rng(section["landscape_seed"]),
-    )
+        return load_landscape(path)
+    return planted_landscape(section["length"], section["vocab"], section["modes"],
+                             section["depth"], Rng(section["landscape_seed"]))
 
 
 def _save_planted(landscape: PlantedLandscape, section: dict, out: str) -> None:
     """landscape.txt, once the command's configuration has been accepted."""
     save_landscape(landscape, os.path.join(out, "landscape.txt"),
                    comment=_header(section["landscape_seed"]))
-
-
-def _from_config(build, *args, **kwargs):
-    """``build(...)``, whose ValueError on a configured value, or OSError on
-    a configured file, exits 2."""
-    try:
-        return build(*args, **kwargs)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _build_base_energy(energy_cfg: dict):
@@ -299,18 +295,18 @@ def _build_base_energy(energy_cfg: dict):
 
 def cmd_run(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
-    sampler_cfg = _from_config(SamplerConfig, steps=values["run"]["steps"], **values["sampler"])
-    if values["run"]["snapshot_stride"] < 1:
-        raise ConfigError("snapshot_stride must be >= 1")
-
-    base, planted = _build_base_energy(values["energy"])
-    rng = Rng(seed)
-    # no chain starts from a shape as_logits rejects (L < 1 or K < 2)
-    logits0 = _from_config(as_logits, 0.5 * rng.normal(base.shape))
-    # the jump kernel needs a model even when the prior weight is zero
-    model = _build_model(values["model"], base.shape)
-    energy = _from_config(compose_energy, base, values["energy"]["ridge_scale"], model,
-                          values["energy"]["lambda"], sampler_cfg.tau)
+    with _configuring():
+        sampler_cfg = SamplerConfig(steps=values["run"]["steps"], **values["sampler"])
+        if values["run"]["snapshot_stride"] < 1:
+            raise ConfigError("snapshot_stride must be >= 1")
+        base, planted = _build_base_energy(values["energy"])
+        rng = Rng(seed)
+        # no chain starts from a shape as_logits rejects (L < 1 or K < 2)
+        logits0 = as_logits(INIT_SCALE * rng.normal(base.shape))
+        # the jump kernel needs a model even when the prior weight is zero
+        model = _build_model(values["model"], base.shape)
+        energy = compose_energy(base, values["energy"]["ridge_scale"], model,
+                                values["energy"]["lambda"], sampler_cfg.tau)
     if planted is not None:
         _save_planted(planted, values["energy"], out)
 
@@ -358,10 +354,10 @@ def cmd_run(values: dict, out: str) -> int:
 
 def cmd_validate(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
-    model = _build_model(values["model"])
-    # every input of the suite is configured, so its ValueError exits 2;
-    # the [validate] keys are the suite's keyword parameters
-    reports = _from_config(run_validation_suite, model, seed, **values["validate"])
+    with _configuring():
+        # the [validate] keys are the suite's keyword parameters
+        model = _build_model(values["model"])
+        reports = run_validation_suite(model, seed, **values["validate"])
     write_text(os.path.join(out, "validation.json"), reports_to_json(reports, meta=_meta(seed)))
 
     lines = ["metric\tvalue\tn"]
@@ -376,22 +372,21 @@ def cmd_validate(values: dict, out: str) -> int:
 def cmd_calibrate(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     ccfg = values["calibrate"]
-    model = _build_model(values["model"])
-    if ccfg["reference_file"]:
-        reference = _from_config(load_model, ccfg["reference_file"])
-    elif ccfg["reference_scale"] != 1.0:
-        reference = _from_config(model.scaled, ccfg["reference_scale"])
-    else:
-        reference = model
-
-    rng = Rng(seed)
-    length, vocab = model.shape
-    contexts = [
-        (seq, rng.integer(length))
-        for seq in random_sequences(length, vocab, ccfg["n_contexts"], rng)
-    ]
-    # the contexts and both models are configured, so its ValueError exits 2
-    tau_star = _from_config(calibrate_temperature, model, reference, contexts)
+    with _configuring():
+        model = _build_model(values["model"])
+        if ccfg["reference_file"]:
+            reference = load_model(ccfg["reference_file"])
+        elif ccfg["reference_scale"] != 1.0:
+            reference = model.scaled(ccfg["reference_scale"])
+        else:
+            reference = model
+        rng = Rng(seed)
+        length, vocab = model.shape
+        contexts = [
+            (seq, rng.integer(length))
+            for seq in random_sequences(length, vocab, ccfg["n_contexts"], rng)
+        ]
+        tau_star = calibrate_temperature(model, reference, contexts)
     payload = {
         "_meta": _meta(seed),
         "tau_star": tau_star,
@@ -406,28 +401,23 @@ def cmd_calibrate(values: dict, out: str) -> int:
 def cmd_bench(values: dict, out: str) -> int:
     seed = values["run"]["seed"]
     bcfg = values["bench"]
-    sampler_cfg = _from_config(SamplerConfig, **values["sampler"])
-
-    landscape = _landscape(bcfg, bcfg["landscape_file"])
-    model = _build_model(values["model"], landscape.energy.shape)
-    methods = tuple(m.strip() for m in bcfg["methods"].split(",") if m.strip())
-    campaign = _from_config(
-        CampaignConfig,
-        landscape=landscape,
-        sampler=sampler_cfg,
-        seeds=bcfg["seeds"],
-        step_budget=bcfg["step_budget"],
-        methods=methods,
-        model=model,
-        lam=bcfg["lam"],
-        ridge_scale=bcfg["ridge_scale"],
-        rso_eta=None if bcfg["rso_eta"] <= 0 else bcfg["rso_eta"],
-        snapshot_stride=bcfg["snapshot_stride"],
-        cluster_radius=None if bcfg["cluster_radius"] < 0 else bcfg["cluster_radius"],
-        designable_quantile=bcfg["designable_quantile"],
-        seed0=seed,
-        init_scale=bcfg["init_scale"],
-    )
+    with _configuring():
+        sampler_cfg = SamplerConfig(**values["sampler"])
+        landscape = _landscape(bcfg, bcfg["landscape_file"])
+        campaign = CampaignConfig(
+            landscape=landscape,
+            sampler=sampler_cfg,
+            seeds=bcfg["seeds"],
+            step_budget=bcfg["step_budget"],
+            methods=tuple(m.strip() for m in bcfg["methods"].split(",") if m.strip()),
+            model=_build_model(values["model"], landscape.energy.shape),
+            lam=bcfg["lam"],
+            ridge_scale=bcfg["ridge_scale"],
+            rso_eta=None if bcfg["rso_eta"] == _RSO_ETA_UNSET else bcfg["rso_eta"],
+            snapshot_stride=bcfg["snapshot_stride"],
+            designable_quantile=bcfg["designable_quantile"],
+            seed0=seed,
+        )
     if not bcfg["landscape_file"]:
         _save_planted(landscape, bcfg, out)
     report = run_campaign(campaign)

@@ -29,6 +29,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape) -> np.ndarray:

@@ -278,6 +278,26 @@ class TestCampaign:
         with pytest.raises(ValueError):
             self.make_config(landscape, model, methods=("gibbs",))
 
+    @pytest.mark.parametrize("key, value, message", [
+        # a seed that raises is recorded as failed, so a bad seed0 used to
+        # fail every seed quietly instead of the campaign
+        ("seed0", -1, "seed0 must be >= 0, got -1"),
+        # every rso seed used to fail at run time with "eta must be positive"
+        ("rso_eta", -5.0, "rso_eta must be positive, got -5.0"),
+        ("rso_eta", 0.0, "rso_eta must be positive, got 0.0"),
+        ("rso_eta", float("nan"), "rso_eta must be positive, got nan"),
+    ], ids=["seed0", "rso_eta-negative", "rso_eta-zero", "rso_eta-nan"])
+    def test_value_rejected_up_front(self, landscape, model, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            self.make_config(landscape, model, **{key: value})
+
+    def test_cluster_radius_and_init_scale_echoed(self, landscape, model):
+        # both are fixed, L // 4 and bench.INIT_SCALE, and campaign.json
+        # still echoes them
+        report = run_campaign(self.make_config(landscape, model, seeds=1, step_budget=0))
+        assert report.config_echo["cluster_radius"] == landscape.energy.shape[0] // 4
+        assert report.config_echo["init_scale"] == bench.INIT_SCALE == 0.5
+
     def test_lam_requires_model(self, landscape):
         with pytest.raises(ValueError):
             self.make_config(landscape, None, lam=0.5)

@@ -879,3 +879,40 @@ class TestConfigErrors:
         text = TestPinnedBytes.BENCH_CONFIG.replace("methods = rss,rso", f"methods = {methods}")
         self.check_rejected(tmp_path, capsys, "bench", text,
                             f"methods must be nonempty and distinct, got {echo}")
+
+    # configured values whose constructions were not checked before use:
+    # each used to exit 1, and a negative bench seed exited 0 with two of
+    # three seeds of every method failed and campaign.json scored from one
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("run", "scale = 1.0", "scale = 0", "scale must be positive"),
+        ("run", "scale = 1.0", "scale = -1", "scale must be positive"),
+        ("run", "seed = 7", "seed = -1", "seed must be >= 0, got -1"),
+        ("run", "seed = 3", "seed = -3", "seed must be >= 0, got -3"),
+        ("validate", "seed = 5", "seed = -2", "seed must be >= 0, got -2"),
+        ("validate", "seed = 11", "seed = -3", "seed must be >= 0, got -3"),
+        ("calibrate", "seed = 13", "seed = -3", "seed must be >= 0, got -3"),
+        ("bench", "landscape_seed = 5", "landscape_seed = -5", "seed must be >= 0, got -5"),
+        ("bench", "seed = 29", "seed = -2", "seed0 must be >= 0, got -2"),
+        # a negative rso_eta used to mean the sampler's eta
+        ("bench", "snapshot_stride = 25", "snapshot_stride = 25\nrso_eta = -5.0",
+         "rso_eta must be positive, got -5.0"),
+    ], ids=["run-gaussian-scale-0", "run-gaussian-scale-negative", "run-seed", "run-model-seed",
+            "validate-model-seed", "validate-seed", "calibrate-seed", "bench-landscape-seed",
+            "bench-seed", "bench-rso-eta"])
+    def test_construction_value_exit_two(self, tmp_path, capsys, command, old, new, message):
+        text = {"run": RUN_CONFIG.format(steps=5),
+                "validate": TestValidate.CONFIG,
+                "calibrate": TestCalibrate.CONFIG,
+                "bench": TestPinnedBytes.BENCH_CONFIG.replace("seeds = 2", "seeds = 3")}[command]
+        assert text.count(old) == 1
+        self.check_rejected(tmp_path, capsys, command, text.replace(old, new), message)
+
+    @pytest.mark.parametrize("key", ["cluster_radius", "init_scale"])
+    def test_removed_bench_key_exit_two(self, tmp_path, capsys, key):
+        # the radius is always L // 4 and the start scale bench.INIT_SCALE
+        text = TestPinnedBytes.BENCH_CONFIG + f"{key} = 1\n"
+        out = tmp_path / "o"
+        assert main(["bench", "--config", write(tmp_path / "x.ini", text),
+                     "--out", str(out)]) == 2
+        assert f"unknown key '{key}' in section [bench]" in capsys.readouterr().err
+        assert not out.exists()

@@ -205,6 +205,11 @@ class TestRng:
         assert draws[:, 1].sum() == 2000
         assert 850 < draws[:, 2].sum() < 1150
 
+    def test_negative_seed_rejected(self):
+        # numpy's own message, "expected non-negative integer", names nothing
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            Rng(-1)
+
     def test_categorical_rejects_bad_weights(self):
         rng = Rng(7)
         with pytest.raises(ValueError):
