@@ -369,10 +369,11 @@ def _cluster_count(seqs, radius: int) -> int:
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run every configured method over all seeds and build the report.
 
-    Every threshold is a quantile of the landscape's own energy table
-    (``PlantedLandscape.quantile``); the campaign enumerates nothing. Each
-    method's pooled unique candidates are scored once, and the designable
-    count and the curve rows are read from those energies.
+    Every threshold is a quantile of the landscape's own energy table, all
+    read in one call (``PlantedLandscape.quantiles``); the campaign
+    enumerates nothing. Each method's pooled unique candidates are scored
+    once, and the designable count and the curve rows are read from those
+    energies.
 
     The (method, seed) tasks run on every usable CPU (``_run_tasks``);
     their results are assembled in task order, so the report is the same
@@ -382,10 +383,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     never assumed.
     """
     landscape = cfg.landscape
-    threshold = landscape.quantile(cfg.designable_quantile)
     radius = landscape.energy.shape[0] // 4    # Hamming radius of a cluster
-    curve_quantiles = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-    curve_thresholds = [landscape.quantile(q) for q in curve_quantiles]
+    curve_quantiles = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+    threshold, *curve_thresholds = landscape.quantiles([cfg.designable_quantile] + curve_quantiles)
 
     tasks = [(m, i) for m in cfg.methods for i in range(cfg.seeds)]
     outcomes = iter(_run_tasks(cfg, tasks))

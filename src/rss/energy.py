@@ -9,6 +9,7 @@ a correctness oracle for the walk kernel.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -230,33 +231,44 @@ MAX_ENUMERATION = 10_000_000
 PLANT_NOISE_SCALE = 0.05  # random fields and couplings, relative to the planted coupling
 PLANT_RETRIES = 50        # fresh draws before planting gives up
 SEPARATION_ATTEMPTS = 10_000  # candidate sequences per draw of separated modes
-ENUMERATION_BLOCK = 16_384  # rows; a block's index arrays and gathers stay near 16 MB
-
-
-def enumerate_token_space(length: int, vocab: int):
-    """Yield (N, L) blocks of ENUMERATION_BLOCK rows covering all K^L sequences.
-
-    Sequences are in lexicographic order with position 0 most significant.
-    """
-    total = vocab**length
-    if total > MAX_ENUMERATION:
-        raise ValueError(
-            f"K^L = {total} exceeds the enumeration cap {MAX_ENUMERATION}"
-        )
-    powers = vocab ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, ENUMERATION_BLOCK):
-        idx = np.arange(start, min(start + ENUMERATION_BLOCK, total), dtype=np.int64)
-        yield (idx[:, None] // powers[None, :]) % vocab
+ENUMERATION_BLOCK = 16_384  # rows per block; its (rows, L) field table is 3 MB at most
 
 
 def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
-    """Discrete energies of every token sequence, in lexicographic order."""
+    """Discrete energies of every token sequence, in lexicographic order
+    (position 0 most significant), the same bits as ``discrete_energies``.
+
+    A block fixes the first L - m sites and spans the last m on a broadcast
+    grid of K^m <= ENUMERATION_BLOCK rows. Its field table sums over its
+    last axis as ``discrete_energies`` sums its (N, L) gather, and each
+    contact adds its scalar, K-vector or K x K term to a running sum in
+    contact order."""
     length, vocab = energy.shape
-    out = np.empty(vocab**length, dtype=np.float64)
-    pos = 0
-    for toks in enumerate_token_space(length, vocab):
-        out[pos : pos + toks.shape[0]] = energy.discrete_energies(toks)
-        pos += toks.shape[0]
+    total = vocab**length
+    if total > MAX_ENUMERATION:
+        raise ValueError(f"K^L = {total} exceeds the enumeration cap {MAX_ENUMERATION}")
+    m = 0
+    while m < length and vocab ** (m + 1) <= ENUMERATION_BLOCK:
+        m += 1
+    fixed = length - m
+    grid = np.ix_(*[np.arange(vocab)] * m)  # site fixed + a varies along axis a
+    field_table = np.empty((vocab,) * m + (length,))
+    for a in range(m):
+        field_table[..., fixed + a] = energy.fields[fixed + a][grid[a]]
+    out = np.empty(total, dtype=np.float64)
+    rows = vocab**m
+    for block, prefix in enumerate(itertools.product(range(vocab), repeat=fixed)):
+        field_table[..., :fixed] = energy.fields[np.arange(fixed), prefix]
+        values = field_table.sum(axis=-1)
+        toks = prefix + grid
+        terms = [mat[toks[i], toks[j]]
+                 for mat, i, j in zip(energy.couplings, energy.idx_i, energy.idx_j)]
+        if terms:
+            coupling = np.broadcast_to(terms[0], values.shape).copy()
+            for term in terms[1:]:
+                coupling += term
+            values = values + coupling
+        out[block * rows : (block + 1) * rows] = values.ravel()
     return out
 
 
@@ -279,9 +291,13 @@ class PlantedLandscape:
     def median_energy(self) -> float:
         return float(np.median(self.energies))
 
+    def quantiles(self, qs) -> list[float]:
+        """The ``qs`` quantiles of the discrete energies of all sequences,
+        read in one ``np.quantile`` call."""
+        return [float(v) for v in np.quantile(self.energies, qs)]
+
     def quantile(self, q: float) -> float:
-        """The ``q`` quantile of the discrete energies of all sequences."""
-        return float(np.quantile(self.energies, q))
+        return self.quantiles([q])[0]
 
 
 def _draw_separated_sequences(length, vocab, n_modes, rng: Rng):

@@ -100,7 +100,9 @@ class MaskedSequenceModel:
         return self.embed.shape[1]
 
     def scaled(self, factor: float) -> "MaskedSequenceModel":
-        """Copy whose raw masked logits are multiplied by ``factor``."""
+        """Copy whose raw masked logits are multiplied by ``factor`` > 0."""
+        if not factor > 0:  # written so that NaN fails too
+            raise ValueError(f"scale factor must be > 0, got {factor!r}")
         return MaskedSequenceModel(
             self.embed, self.mask_embed, self.positional, self.mix,
             factor * self.readout, factor * self.bias,

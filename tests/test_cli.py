@@ -824,6 +824,13 @@ class TestConfigErrors:
         self.check_rejected(tmp_path, capsys, command, text,
                             f"[Errno 2] No such file or directory: '{missing}'")
 
+    # it used to exit 0 with tau_star 19.999, the edge of the search range
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_reference_scale_exit_two(self, tmp_path, capsys, scale):
+        text = TestCalibrate.CONFIG + f"reference_scale = {scale}\n"
+        self.check_rejected(tmp_path, capsys, "calibrate", text,
+                            f"scale factor must be > 0, got {float(scale)!r}")
+
     def test_zero_calibrate_contexts_exit_two(self, tmp_path, capsys):
         text = TestCalibrate.CONFIG.replace("n_contexts = 30", "n_contexts = 0")
         self.check_rejected(tmp_path, capsys, "calibrate", text,

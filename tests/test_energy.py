@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from rss.energy import (
     GaussianEnergy,
     LandscapeGenerationError,
     PairwiseContactEnergy,
+    PlantedLandscape,
     TargetProfileEnergy,
     enumerate_discrete_energies,
     load_landscape,
@@ -206,6 +209,78 @@ class TestPairwise:
         tokens = np.array([-1, 0, 1, 2, 3])
         with pytest.raises(ValueError):
             energy.discrete_energies(tokens[None, :])
+
+def all_tokens(length, vocab):
+    """Every token sequence as an (N, L) matrix, in lexicographic order."""
+    return np.array(list(itertools.product(range(vocab), repeat=length)),
+                    dtype=np.int64).reshape(-1, length)
+
+
+class TestEnumeration:
+    # the table must hold the bits discrete_energies gives each row of the
+    # full token matrix; numpy's field sum unrolls by 8, so L < 8, L = 8 and
+    # L > 8 are covered, each in one block (m = L) and in several
+
+    @pytest.mark.parametrize("length, vocab, block", [
+        (5, 4, 16_384),  # one block, L < 8
+        (5, 4, 16),      # 64 blocks of 4^2 rows
+        (8, 3, 16_384),  # one block, L = 8
+        (8, 3, 30),      # 243 blocks of 3^3 rows
+        (10, 3, 16_384), # 9 blocks of 3^8 rows, L > 8
+        (11, 2, 16_384), # one block, L > 8
+        (9, 2, 1),       # one row per block, m = 0
+    ])
+    def test_matches_discrete_energies(self, monkeypatch, length, vocab, block):
+        monkeypatch.setattr(energy_module, "ENUMERATION_BLOCK", block)
+        energy = make_pairwise(Rng(10 * length + vocab), length, vocab)
+        table = enumerate_discrete_energies(energy)
+        assert table.tobytes() == energy.discrete_energies(all_tokens(length, vocab)).tobytes()
+
+    def test_no_contacts(self, monkeypatch):
+        monkeypatch.setattr(energy_module, "ENUMERATION_BLOCK", 100)
+        energy = PairwiseContactEnergy([], Rng(31).normal((9, 3)))
+        table = enumerate_discrete_energies(energy)
+        assert table.tobytes() == energy.discrete_energies(all_tokens(9, 3)).tobytes()
+
+    def test_reversed_contacts_in_any_order(self, monkeypatch):
+        # contacts with i > j read their table transposed, wherever i and j
+        # fall: both fixed, one fixed, or both on the grid
+        monkeypatch.setattr(energy_module, "ENUMERATION_BLOCK", 64)
+        rng = Rng(32)
+        pairs = [(6, 0), (1, 5), (4, 3), (2, 1), (0, 2), (6, 5), (3, 6), (5, 0)]
+        energy = PairwiseContactEnergy([(i, j, rng.normal((4, 4))) for i, j in pairs],
+                                       rng.normal((7, 4)))
+        table = enumerate_discrete_energies(energy)
+        assert table.tobytes() == energy.discrete_energies(all_tokens(7, 4)).tobytes()
+
+    def test_loaded_landscape_with_reversed_contacts(self, tmp_path):
+        land = planted_landscape(6, 4, 4, 2.0, Rng(3))
+        energy = land.energy
+        reversed_energy = PairwiseContactEnergy(
+            [(j, i, m.T) for i, j, m in zip(energy.idx_i, energy.idx_j, energy.couplings)],
+            energy.fields)
+        path = tmp_path / "landscape.txt"
+        save_landscape(PlantedLandscape(reversed_energy, land.modes, land.seed, land.depth,
+                                        land.energies), path)
+        loaded = load_landscape(path)
+        assert np.all(loaded.energy.idx_i > loaded.energy.idx_j)
+        tokens = all_tokens(6, 4)
+        assert loaded.energies.tobytes() == loaded.energy.discrete_energies(tokens).tobytes()
+        assert loaded.energies.tobytes() == land.energies.tobytes()
+
+    def test_pinned_table_bytes(self):
+        # the demo-04 landscape's table, as the (N, L) gathers computed it
+        land = planted_landscape(8, 5, 5, 3.0, Rng(7))
+        assert hashlib.sha256(land.energies.tobytes()).hexdigest() == (
+            "7cbca47ab02b63c86bf43427b5bed09fa1b0250d00e0fca8936ffd48d0d07c7a")
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3, 2.0), (7, 3, 3, 2.0)], ids=["even", "odd"])
+    def test_quantiles_read_as_single_calls(self, shape):
+        land = planted_landscape(*shape, Rng(22))
+        qs = [0.05, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
+        assert land.quantiles(qs) == [float(np.quantile(land.energies, q)) for q in qs]
+        assert land.quantile(0.3) == float(np.quantile(land.energies, 0.3))
+
 
 class TestPlantedLandscape:
     def test_single_mode_is_global_minimum(self):

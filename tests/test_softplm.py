@@ -264,6 +264,11 @@ class TestModelFile:
         with pytest.raises(ValueError):
             model.embed[0, 0] = 1.0
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_non_positive_scale_rejected(self, model, factor):
+        with pytest.raises(ValueError, match="scale factor must be > 0"):
+            model.scaled(factor)
+
     def test_zero_width_and_non_finite_weights_rejected(self, model):
         with pytest.raises(ValueError, match="width >= 1"):
             MaskedSequenceModel.random(4, 5, 0, Rng(0))
