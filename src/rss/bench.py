@@ -18,6 +18,8 @@ import numpy as np
 
 from .core import Rng, argmax_decode, as_logits, hamming_distance
 from .energy import (
+    CURVE_QUANTILES,
+    DESIGNABLE_QUANTILE,
     CompositeEnergy,
     CountingEnergy,
     EnergyModel,
@@ -109,8 +111,7 @@ def unique_sequences(seqs) -> np.ndarray:
 def designable_surrogate(seqs, energy: PairwiseContactEnergy, threshold: float) -> np.ndarray:
     """Unique sequences whose discrete energy falls below ``threshold``.
 
-    For a planted landscape the threshold is a quantile of its enumerated
-    energies, ``landscape.quantile(q)``.
+    For a planted landscape the threshold is one of ``landscape.thresholds``.
     """
     uniq = unique_sequences(seqs)
     return uniq[energy.discrete_energies(uniq) < threshold]
@@ -150,7 +151,6 @@ class CampaignConfig:
     ridge_scale: float = 0.0               # confining quadratic term; 0 disables
     rso_eta: float | None = None           # defaults to sampler.eta
     snapshot_stride: int = 50
-    designable_quantile: float = 0.05
     seed0: int = 0
 
     def __post_init__(self):
@@ -174,8 +174,6 @@ class CampaignConfig:
             raise ValueError(f"seed0 must be >= 0, got {self.seed0}")
         if self.rso_eta is not None and not self.rso_eta > 0:
             raise ValueError(f"rso_eta must be positive, got {self.rso_eta}")
-        if not 0.0 <= self.designable_quantile <= 1.0:
-            raise ValueError("designable_quantile must lie in [0, 1]")
         if self.lam > 0 and self.model is None and (
             "rss" in self.methods or "rso" in self.methods
         ):
@@ -369,11 +367,11 @@ def _cluster_count(seqs, radius: int) -> int:
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run every configured method over all seeds and build the report.
 
-    Every threshold is a quantile of the landscape's own energy table, all
-    read in one call (``PlantedLandscape.quantiles``); the campaign
-    enumerates nothing. Each method's pooled unique candidates are scored
-    once, and the designable count and the curve rows are read from those
-    energies.
+    Every threshold is one of ``landscape.thresholds``, which certified the
+    landscape: the designable one is its ``DESIGNABLE_QUANTILE`` entry, and
+    the curve has a row per entry. The campaign enumerates nothing. Each
+    method's pooled unique candidates are scored once, and the designable
+    count and the curve rows are read from those energies.
 
     The (method, seed) tasks run on every usable CPU (``_run_tasks``);
     their results are assembled in task order, so the report is the same
@@ -384,8 +382,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """
     landscape = cfg.landscape
     radius = landscape.energy.shape[0] // 4    # Hamming radius of a cluster
-    curve_quantiles = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-    threshold, *curve_thresholds = landscape.quantiles([cfg.designable_quantile] + curve_quantiles)
+    threshold = landscape.thresholds[CURVE_QUANTILES.index(DESIGNABLE_QUANTILE)]
 
     tasks = [(m, i) for m in cfg.methods for i in range(cfg.seeds)]
     outcomes = iter(_run_tasks(cfg, tasks))
@@ -410,9 +407,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         pooled_unique = unique_sequences(np.concatenate(pooled or [empty]))
         pooled_energies = landscape.energy.discrete_energies(pooled_unique)
         pooled_designable = pooled_unique[pooled_energies < threshold]
-        counts = [int((pooled_energies < thr).sum()) for thr in curve_thresholds]
+        counts = [int((pooled_energies < thr).sum()) for thr in landscape.thresholds]
         n_unique = max(pooled_unique.shape[0], 1)  # an empty pool rates 0.0
-        curve = [(thr, c, c / n_unique) for thr, c in zip(curve_thresholds, counts)]
+        curve = [(thr, c, c / n_unique) for thr, c in zip(landscape.thresholds, counts)]
 
         results[method] = MethodResult(
             method=method,
@@ -435,7 +432,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         "ridge_scale": cfg.ridge_scale,
         "snapshot_stride": cfg.snapshot_stride,
         "cluster_radius": radius,
-        "designable_quantile": cfg.designable_quantile,
+        "designable_quantile": DESIGNABLE_QUANTILE,
         "designable_threshold": threshold,
         "seed0": cfg.seed0,
         "init_scale": INIT_SCALE,

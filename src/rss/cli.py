@@ -154,7 +154,6 @@ _SCHEMAS = {
             "lam": (float, 0.0),
             "ridge_scale": (float, 0.0),
             "snapshot_stride": (int, 50),
-            "designable_quantile": (float, 0.05),
             "rso_eta": (float, _RSO_ETA_UNSET),
         },
     },
@@ -415,7 +414,6 @@ def cmd_bench(values: dict, out: str) -> int:
             ridge_scale=bcfg["ridge_scale"],
             rso_eta=None if bcfg["rso_eta"] == _RSO_ETA_UNSET else bcfg["rso_eta"],
             snapshot_stride=bcfg["snapshot_stride"],
-            designable_quantile=bcfg["designable_quantile"],
             seed0=seed,
         )
     if not bcfg["landscape_file"]:

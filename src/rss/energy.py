@@ -232,6 +232,9 @@ PLANT_NOISE_SCALE = 0.05  # random fields and couplings, relative to the planted
 PLANT_RETRIES = 50        # fresh draws before planting gives up
 SEPARATION_ATTEMPTS = 10_000  # candidate sequences per draw of separated modes
 ENUMERATION_BLOCK = 16_384  # rows per block; its (rows, L) field table is 3 MB at most
+DESIGNABLE_QUANTILE = 0.05  # designable: below this quantile of all K^L discrete energies
+# the thresholds a landscape carries, the designable one among them
+CURVE_QUANTILES = (0.01, 0.02, DESIGNABLE_QUANTILE, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
@@ -274,30 +277,16 @@ def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
 
 @dataclass
 class PlantedLandscape:
-    """A coupling energy with construction-verified low-energy modes.
-
-    ``energies`` is the discrete energy of every sequence in enumeration
-    order, kept from the one enumeration that verified the landscape. The
-    median and every threshold (``quantile``) are read from it.
-    """
+    """A coupling energy with certified low-energy modes. It keeps the median
+    and the ``CURVE_QUANTILES`` quantiles (``thresholds``) of the discrete
+    energies of all sequences, not the ``K^L`` table they were read from."""
 
     energy: PairwiseContactEnergy
     modes: np.ndarray     # (M, L) planted token sequences
     seed: int
     depth: float
-    energies: np.ndarray  # (K^L,) read-only
-
-    @property
-    def median_energy(self) -> float:
-        return float(np.median(self.energies))
-
-    def quantiles(self, qs) -> list[float]:
-        """The ``qs`` quantiles of the discrete energies of all sequences,
-        read in one ``np.quantile`` call."""
-        return [float(v) for v in np.quantile(self.energies, qs)]
-
-    def quantile(self, q: float) -> float:
-        return self.quantiles([q])[0]
+    median_energy: float
+    thresholds: tuple     # one float per CURVE_QUANTILES entry
 
 
 def _draw_separated_sequences(length, vocab, n_modes, rng: Rng):
@@ -319,14 +308,13 @@ def planted_landscape(
     n_modes: int,
     depth: float,
     rng: Rng,
-    designable_quantile: float = 0.05,
 ) -> PlantedLandscape:
     """Generate a coupling energy whose low-energy modes are known exactly.
 
     The returned energy has ``n_modes`` planted sequences that are strict
     local minima of the induced discrete energy, pairwise Hamming >= 2
     apart, each at least ``depth`` below the median discrete energy and
-    below the ``designable_quantile`` quantile. All of this is verified by
+    below the ``DESIGNABLE_QUANTILE`` quantile. All of this is verified by
     exhaustive enumeration (vocab**length <= 1e7 enforced) before the
     landscape is returned; construction retries ``PLANT_RETRIES`` times with
     fresh draws and raises LandscapeGenerationError if the checks never pass.
@@ -367,9 +355,9 @@ def planted_landscape(
         fields = noise * rng.normal((length, vocab))
         energy = PairwiseContactEnergy(contacts, fields)
 
-        energies = _verified_energies(energy, modes, depth, designable_quantile)
-        if energies is not None:
-            return PlantedLandscape(energy, modes, seed, depth, energies)
+        landscape = _certified(energy, modes, seed, depth)
+        if landscape is not None:
+            return landscape
 
     raise LandscapeGenerationError(
         f"landscape checks failed after {PLANT_RETRIES} attempts "
@@ -377,12 +365,13 @@ def planted_landscape(
     )
 
 
-def _verified_energies(energy: PairwiseContactEnergy, modes, depth: float,
-                       designable_quantile: float) -> np.ndarray | None:
-    """All discrete energies, read-only, if the modes pass the planted
-    checks; None otherwise. Each mode's Hamming-1 check (one
-    ``discrete_energies`` call on its L*K one-site variants, scored as in the
-    table) runs first; the token space is enumerated only if all pass."""
+def _certified(energy: PairwiseContactEnergy, modes, seed: int,
+               depth: float) -> PlantedLandscape | None:
+    """The landscape if its modes pass the planted checks; None otherwise.
+    Each mode's Hamming-1 check (one ``discrete_energies`` call on its L*K
+    one-site variants, scored as in the table) runs first. Only if all pass
+    is the token space enumerated, once: every mode must then lie ``depth``
+    below the table's median and below its ``DESIGNABLE_QUANTILE`` quantile."""
     length, vocab = energy.shape
     e_modes = []
     for mode in modes:
@@ -393,13 +382,13 @@ def _verified_energies(energy: PairwiseContactEnergy, modes, depth: float,
         scores[np.arange(length), mode] = np.inf
         if np.any(scores <= e_modes[-1]):
             return None
-    all_energies = enumerate_discrete_energies(energy)
-    median = float(np.median(all_energies))
-    threshold = float(np.quantile(all_energies, designable_quantile))
-    if not all(e <= median - depth and e < threshold for e in e_modes):
+    table = enumerate_discrete_energies(energy)
+    median = float(np.median(table))
+    thresholds = tuple(float(v) for v in np.quantile(table, CURVE_QUANTILES))
+    designable = thresholds[CURVE_QUANTILES.index(DESIGNABLE_QUANTILE)]
+    if not all(e <= median - depth and e < designable for e in e_modes):
         return None
-    all_energies.flags.writeable = False
-    return all_energies
+    return PlantedLandscape(energy, modes, seed, depth, median, thresholds)
 
 
 # --- landscape file ---------------------------------------------------------
@@ -438,10 +427,18 @@ def load_landscape(path) -> PlantedLandscape:
             _, i, j = tag.split()
             contacts.append((int(i), int(j), mat))
     energy = PairwiseContactEnergy(contacts, arrays["fields"])
-    modes = arrays["modes"].astype(np.int64)
-    depth = float(header["depth"])
-    energies = _verified_energies(energy, modes, depth, 0.05)
-    if energies is None:
+    numbers = []
+    for key, kind, what in (("seed", int, "an integer"), ("depth", float, "a number")):
+        try:
+            numbers.append(kind(header[key]))
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: header line '{key}' is missing or not {what}") from None
+    seed, depth = numbers
+    not_tokens = arrays["modes"][~np.isin(arrays["modes"], np.arange(energy.shape[1]))]
+    if not_tokens.size:
+        raise ValueError(f"{path}: block [modes] holds {float(not_tokens[0])!r}, "
+                         f"not a token in [0, {energy.shape[1]})")
+    landscape = _certified(energy, arrays["modes"].astype(np.int64), seed, depth)
+    if landscape is None:
         raise LandscapeGenerationError(f"loaded landscape failed verification: {path}")
-    return PlantedLandscape(energy, modes, int(header["seed"]), depth, energies)
-
+    return landscape

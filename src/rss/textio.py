@@ -47,17 +47,23 @@ def read_blocks(path) -> tuple[dict, list]:
     header: dict[str, str] = {}
     blocks: list[tuple[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or raw.startswith("#"):
                 continue
             if line.startswith("["):
                 blocks.append((line[1:-1], []))
             elif blocks:
-                blocks[-1][1].append([float(x) for x in line.split()])
+                try:
+                    blocks[-1][1].append([float(x) for x in line.split()])
+                except ValueError:
+                    raise ValueError(f"{path}: line {number} of block [{blocks[-1][0]}] "
+                                     f"is not a row of numbers: {line!r}") from None
             else:
-                key, value = line.split(maxsplit=1)
-                header[key] = value
+                key, *value = line.split(maxsplit=1)
+                if not value:
+                    raise ValueError(f"{path}: header line {number} has no value: {line!r}")
+                header[key] = value[0]
     for tag, rows in blocks:
         for number, row in enumerate(rows, 1):
             if len(row) != len(rows[0]):

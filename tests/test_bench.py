@@ -111,41 +111,40 @@ class TestClustering:
 class TestDesignableSurrogate:
     def test_threshold_below_minimum_empty(self, landscape):
         seqs = unique_sequences(landscape.modes)
-        low = landscape.energies.min() - 1.0
+        low = enumerate_discrete_energies(landscape.energy).min() - 1.0
         assert designable_surrogate(seqs, landscape.energy, low).shape[0] == 0
 
     def test_threshold_above_maximum_keeps_all_unique(self, landscape):
         rng = Rng(98)
         seqs = np.array([[rng.integer(4) for _ in range(6)] for _ in range(30)])
-        high = landscape.energies.max() + 1.0
+        high = enumerate_discrete_energies(landscape.energy).max() + 1.0
         expected = unique_sequences(seqs).shape[0]
         assert designable_surrogate(seqs, landscape.energy, high).shape[0] == expected
 
     def test_planted_modes_pass_default_quantile(self, landscape):
-        kept = designable_surrogate(landscape.modes, landscape.energy, landscape.quantile(0.05))
+        kept = designable_surrogate(landscape.modes, landscape.energy, landscape.thresholds[2])
         assert kept.shape[0] == landscape.modes.shape[0]
 
     def test_deduplication_invariance(self, landscape):
         seqs = np.concatenate([landscape.modes, landscape.modes], axis=0)
-        threshold = landscape.quantile(0.05)
+        threshold = landscape.thresholds[2]
         once = designable_surrogate(landscape.modes, landscape.energy, threshold)
         twice = designable_surrogate(seqs, landscape.energy, threshold)
         np.testing.assert_array_equal(once, twice)
 
     def test_default_quantile_ignores_construction_quantile(self):
-        # a landscape built with a 30% designable check is still scored at
-        # the 5% quantile asked for
-        built = planted_landscape(5, 4, 2, 2.0, Rng(3), designable_quantile=0.3)
+        # a landscape is certified and scored at the one 5% threshold
+        built = planted_landscape(5, 4, 2, 2.0, Rng(3))
         energies = enumerate_discrete_energies(built.energy)
         all_seqs = np.array(np.unravel_index(np.arange(4**5), (4,) * 5)).T
-        kept = designable_surrogate(all_seqs, built.energy, built.quantile(0.05))
+        kept = designable_surrogate(all_seqs, built.energy, built.thresholds[2])
         assert kept.shape[0] == int((energies < np.quantile(energies, 0.05)).sum())
         assert kept.shape[0] == 52
 
     def test_empty_input_gives_empty_rows(self, landscape):
         empty = np.zeros((0, 6), dtype=np.int64)
         for rows in (unique_sequences(empty),
-                     designable_surrogate(empty, landscape.energy, landscape.quantile(0.5))):
+                     designable_surrogate(empty, landscape.energy, landscape.thresholds[-1])):
             assert rows.shape == (0, 6) and rows.dtype == np.int64
 
     def test_non_enumerable_energy_needs_explicit_threshold(self):

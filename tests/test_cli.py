@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rss import bench
 from rss.cli import main
 from rss.core import Rng
+from rss.energy import load_landscape, planted_landscape, save_landscape
 from rss.softplm import MaskedSequenceModel, save_model
 
 
@@ -592,6 +594,64 @@ snapshot_stride = 50
         for name in ("campaign.json", "curve.csv"):
             assert (loaded / name).read_bytes() == (planted / name).read_bytes()
 
+    # one designability rule: the 5% threshold that certified the landscape
+    # is the one every method is scored with, and a landscape loaded from
+    # its own file carries the same median and thresholds
+    DEMO_04_CONFIG = """
+[run]
+seed = 1000
+
+[sampler]
+beta = 1.2
+eta = 0.1
+p_jump = 0.2
+kappa = 0.5
+gamma = 2.5
+tau = 1.0
+adapt_eta = true
+burn_in = 500
+mask_mode = exact
+
+[model]
+seed = 3
+width = 16
+
+[bench]
+length = 8
+vocab = 5
+modes = 5
+depth = 3.0
+landscape_seed = 7
+seeds = 2
+step_budget = 4000
+methods = rss,rso,rso-noplm
+lam = 0.1
+ridge_scale = 2.5
+"""
+
+    @pytest.mark.parametrize("config, planting", [
+        ("pinned", (6, 4, 3, 2.0, 5)),
+        ("demo-04", (8, 5, 5, 3.0, 7)),
+    ], ids=["pinned", "demo-04"])
+    def test_scored_at_the_certified_threshold(self, tmp_path, config, planting):
+        text = {"pinned": TestPinnedBytes.BENCH_CONFIG, "demo-04": self.DEMO_04_CONFIG}[config]
+        out = tmp_path / "out"
+        assert main(["bench", "--config", write(tmp_path / "b.ini", text),
+                     "--out", str(out)]) == 0
+        *shape, seed = planting
+        planted = planted_landscape(*shape, Rng(seed))
+        campaign = json.loads((out / "campaign.json").read_text())
+        assert campaign["config"]["designable_quantile"] == 0.05
+        threshold = campaign["config"]["designable_threshold"]
+        assert threshold == planted.thresholds[2]
+        for method in campaign["methods"].values():
+            row = method["curve"][2]
+            assert row["threshold"] == threshold
+            assert method["pooled_designable"] == row["count"]
+        loaded = load_landscape(out / "landscape.txt")
+        assert np.array([loaded.median_energy, *loaded.thresholds]).tobytes() == (
+            np.array([planted.median_energy, *planted.thresholds]).tobytes())
+
     def test_failed_seeds_reported(self, tmp_path, capsys, monkeypatch):
         def fail(cfg, method, seed_index):
             raise KeyError(f"seed {seed_index}")
@@ -731,12 +791,6 @@ class TestConfigErrors:
         text = TestPinnedBytes.BENCH_CONFIG.replace("snapshot_stride = 25", "snapshot_stride = 0")
         self.check_rejected(tmp_path, capsys, "bench", text, "snapshot_stride must be >= 1")
 
-    def test_bench_designable_quantile_above_one_exit_two(self, tmp_path, capsys):
-        # it used to exit 1 from np.quantile after writing landscape.txt
-        text = TestPinnedBytes.BENCH_CONFIG + "designable_quantile = 1.5\n"
-        self.check_rejected(tmp_path, capsys, "bench", text,
-                            "designable_quantile must lie in [0, 1]")
-
     def test_negative_run_ridge_scale_exit_two(self, tmp_path, capsys):
         # it used to run with no ridge term and exit 0
         text = TestPinnedBytes.CONFIG.format(p_jump=0.3).replace(
@@ -823,6 +877,27 @@ class TestConfigErrors:
         }[key].replace(f"{section}\n", f"{section}\n{name} = {missing}\n")
         self.check_rejected(tmp_path, capsys, command, text,
                             f"[Errno 2] No such file or directory: '{missing}'")
+
+    # a landscape file without its depth line used to exit 1 with "error:
+    # 'depth'", and a [modes] entry of 3.4 ran as token 3 and exited 0
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("depth 2\n", "", "header line 'depth' is missing or not a number"),
+        ("[modes]\n3 ", "[modes]\n3.4 ", "block [modes] holds 3.4, not a token in [0, 4)"),
+    ], ids=["no-depth", "fractional-mode"])
+    def test_malformed_landscape_file_exit_two(self, tmp_path, capsys, command, old, new,
+                                               message):
+        path = tmp_path / "landscape.txt"
+        save_landscape(planted_landscape(6, 4, 3, 2.0, Rng(5)), path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        config = {
+            "run": TestPinnedBytes.CONFIG.format(p_jump=0.3).replace(
+                "kind = planted", f"kind = landscape-file\nfile = {path}"),
+            "bench": TestPinnedBytes.BENCH_CONFIG + f"landscape_file = {path}\n",
+        }[command]
+        self.check_rejected(tmp_path, capsys, command, config, f"{path}: {message}")
 
     # it used to exit 0 with tau_star 19.999, the edge of the search range
     @pytest.mark.parametrize("scale", ["0", "-1"])
@@ -914,9 +989,11 @@ class TestConfigErrors:
         assert text.count(old) == 1
         self.check_rejected(tmp_path, capsys, command, text.replace(old, new), message)
 
-    @pytest.mark.parametrize("key", ["cluster_radius", "init_scale"])
+    @pytest.mark.parametrize("key", ["cluster_radius", "init_scale", "designable_quantile"])
     def test_removed_bench_key_exit_two(self, tmp_path, capsys, key):
-        # the radius is always L // 4 and the start scale bench.INIT_SCALE
+        # the radius is always L // 4, the start scale bench.INIT_SCALE and
+        # the designable quantile energy.DESIGNABLE_QUANTILE, which certified
+        # the landscape
         text = TestPinnedBytes.BENCH_CONFIG + f"{key} = 1\n"
         out = tmp_path / "o"
         assert main(["bench", "--config", write(tmp_path / "x.ini", text),

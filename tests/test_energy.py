@@ -9,6 +9,7 @@ import rss.energy as energy_module
 
 from rss.core import Rng, finite_diff_gradient, one_hot, row_marginals
 from rss.energy import (
+    CURVE_QUANTILES,
     CompositeEnergy,
     CountingEnergy,
     GaussianEnergy,
@@ -261,25 +262,27 @@ class TestEnumeration:
             energy.fields)
         path = tmp_path / "landscape.txt"
         save_landscape(PlantedLandscape(reversed_energy, land.modes, land.seed, land.depth,
-                                        land.energies), path)
+                                        land.median_energy, land.thresholds), path)
         loaded = load_landscape(path)
         assert np.all(loaded.energy.idx_i > loaded.energy.idx_j)
         tokens = all_tokens(6, 4)
-        assert loaded.energies.tobytes() == loaded.energy.discrete_energies(tokens).tobytes()
-        assert loaded.energies.tobytes() == land.energies.tobytes()
+        table = enumerate_discrete_energies(loaded.energy)
+        assert table.tobytes() == loaded.energy.discrete_energies(tokens).tobytes()
+        assert table.tobytes() == enumerate_discrete_energies(land.energy).tobytes()
 
     def test_pinned_table_bytes(self):
         # the demo-04 landscape's table, as the (N, L) gathers computed it
         land = planted_landscape(8, 5, 5, 3.0, Rng(7))
-        assert hashlib.sha256(land.energies.tobytes()).hexdigest() == (
+        table = enumerate_discrete_energies(land.energy)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
             "7cbca47ab02b63c86bf43427b5bed09fa1b0250d00e0fca8936ffd48d0d07c7a")
 
     @pytest.mark.parametrize("shape", [(5, 4, 3, 2.0), (7, 3, 3, 2.0)], ids=["even", "odd"])
     def test_quantiles_read_as_single_calls(self, shape):
         land = planted_landscape(*shape, Rng(22))
-        qs = [0.05, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-        assert land.quantiles(qs) == [float(np.quantile(land.energies, q)) for q in qs]
-        assert land.quantile(0.3) == float(np.quantile(land.energies, 0.3))
+        table = enumerate_discrete_energies(land.energy)
+        assert land.thresholds == tuple(float(np.quantile(table, q)) for q in CURVE_QUANTILES)
+        assert land.median_energy == float(np.median(table))
 
 
 class TestPlantedLandscape:
@@ -328,13 +331,14 @@ class TestPlantedLandscape:
     def test_keeps_its_enumerated_energies(self, tmp_path):
         land = planted_landscape(5, 4, 3, 2.0, Rng(22))
         energies = enumerate_discrete_energies(land.energy)
-        np.testing.assert_array_equal(land.energies, energies)
-        assert not land.energies.flags.writeable
+        assert not hasattr(land, "energies")  # the K^L table is not kept
         assert land.median_energy == float(np.median(energies))
-        assert land.quantile(0.05) == float(np.quantile(energies, 0.05))
+        assert land.thresholds[2] == float(np.quantile(energies, 0.05))
         path = tmp_path / "landscape.txt"
         save_landscape(land, path)
-        np.testing.assert_array_equal(load_landscape(path).energies, energies)
+        loaded = load_landscape(path)
+        assert np.array([loaded.median_energy, *loaded.thresholds]).tobytes() == (
+            np.array([land.median_energy, *land.thresholds]).tobytes())
 
     def test_certification_enumerates_once(self, monkeypatch):
         # seed 7's first draw fails the modes' Hamming-1 check, which runs
@@ -362,11 +366,11 @@ class TestPlantedLandscape:
 
     def test_checks_decide_as_on_the_full_table(self, monkeypatch):
         # reference: enumerate first, then check every mode on the table
-        def enumerate_then_check(energy, modes, depth, designable_quantile):
+        def enumerate_then_check(energy, modes, seed, depth):
             length, vocab = energy.shape
             table = enumerate_discrete_energies(energy)
             median = float(np.median(table))
-            threshold = float(np.quantile(table, designable_quantile))
+            threshold = float(np.quantile(table, 0.05))
             for mode in modes:
                 e_mode = table[sequence_index(mode, vocab)]
                 if not (e_mode <= median - depth and e_mode < threshold):
@@ -379,8 +383,8 @@ class TestPlantedLandscape:
                         neighbor[i] = tok
                         if table[sequence_index(neighbor, vocab)] <= e_mode:
                             return None
-            table.flags.writeable = False
-            return table
+            return PlantedLandscape(energy, modes, seed, depth, median,
+                                    tuple(float(np.quantile(table, q)) for q in CURVE_QUANTILES))
 
         def outcomes():
             results = []
@@ -389,13 +393,15 @@ class TestPlantedLandscape:
                 for seed in range(4):
                     try:
                         land = planted_landscape(*shape, Rng(seed))
-                        results.append((land.energies.tobytes(), land.modes.tobytes()))
+                        results.append((enumerate_discrete_energies(land.energy).tobytes(),
+                                        land.modes.tobytes(), land.median_energy,
+                                        land.thresholds))
                     except LandscapeGenerationError as exc:
                         results.append(str(exc))
             return results
 
         fresh = outcomes()
-        monkeypatch.setattr(energy_module, "_verified_energies", enumerate_then_check)
+        monkeypatch.setattr(energy_module, "_certified", enumerate_then_check)
         assert fresh == outcomes()
         assert any(isinstance(r, str) for r in fresh)
         assert any(isinstance(r, tuple) for r in fresh)
@@ -424,3 +430,24 @@ class TestPlantedLandscape:
         path2 = tmp_path / "landscape2.txt"
         save_landscape(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    # a file without its depth line used to fail with KeyError: 'depth', and
+    # a [modes] entry of 1.4 was read as token 1
+    @pytest.mark.parametrize("old, new, message", [
+        ("depth 1.5\n", "", "header line 'depth' is missing or not a number"),
+        ("depth 1.5\n", "depth deep\n", "header line 'depth' is missing or not a number"),
+        ("seed 26\n", "", "header line 'seed' is missing or not an integer"),
+        ("seed 26\n", "seed 2.5\n", "header line 'seed' is missing or not an integer"),
+        ("[modes]\n1 ", "[modes]\n1.4 ", "block [modes] holds 1.4, not a token in [0, 3)"),
+        ("[modes]\n1 ", "[modes]\nnan ", "block [modes] holds nan, not a token in [0, 3)"),
+    ], ids=["no-depth", "depth-word", "no-seed", "fractional-seed", "fractional-mode",
+            "nan-mode"])
+    def test_malformed_file_names_file_and_problem(self, tmp_path, old, new, message):
+        path = tmp_path / "landscape.txt"
+        save_landscape(planted_landscape(4, 3, 2, 1.5, Rng(26)), path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            load_landscape(path)
+        assert str(info.value) == f"{path}: {message}"

@@ -146,3 +146,18 @@ def test_ragged_block_names_file_block_and_lengths(tmp_path):
     message = str(info.value)
     assert str(path) in message and "[modes]" in message
     assert "row 1 has 3 values, row 2 has 4" in message
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # these used to fail with "not enough values to unpack (expected 2, got 1)"
+    # and "could not convert string to float: 'abc'", naming no file
+    ("depth 1\n", "depth\n", "header line 8 has no value: 'depth'"),
+    ("[modes]\n1 0 0\n", "[modes]\n1 abc 0\n",
+     "line 23 of block [modes] is not a row of numbers: '1 abc 0'"),
+], ids=["header-without-value", "non-numeric-entry"])
+def test_malformed_line_names_file_and_line(tmp_path, old, new, message):
+    path = tmp_path / "landscape.txt"
+    path.write_text(LANDSCAPE.replace(old, new))
+    with pytest.raises(ValueError) as info:
+        load_landscape(path)
+    assert str(info.value) == f"{path}: {message}"
