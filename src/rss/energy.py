@@ -237,6 +237,13 @@ DESIGNABLE_QUANTILE = 0.05  # designable: below this quantile of all K^L discret
 CURVE_QUANTILES = (0.01, 0.02, DESIGNABLE_QUANTILE, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
+def _enumeration_size(length: int, vocab: int) -> int:
+    """K^L, or a ValueError when it exceeds ``MAX_ENUMERATION``."""
+    if vocab**length > MAX_ENUMERATION:
+        raise ValueError(f"K^L = {vocab ** length} exceeds the enumeration cap {MAX_ENUMERATION}")
+    return vocab**length
+
+
 def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
     """Discrete energies of every token sequence, in lexicographic order
     (position 0 most significant), the same bits as ``discrete_energies``.
@@ -247,9 +254,7 @@ def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
     contact adds its scalar, K-vector or K x K term to a running sum in
     contact order."""
     length, vocab = energy.shape
-    total = vocab**length
-    if total > MAX_ENUMERATION:
-        raise ValueError(f"K^L = {total} exceeds the enumeration cap {MAX_ENUMERATION}")
+    total = _enumeration_size(length, vocab)
     m = 0
     while m < length and vocab ** (m + 1) <= ENUMERATION_BLOCK:
         m += 1
@@ -277,9 +282,9 @@ def enumerate_discrete_energies(energy: PairwiseContactEnergy) -> np.ndarray:
 
 @dataclass
 class PlantedLandscape:
-    """A coupling energy with certified low-energy modes. It keeps the median
-    and the ``CURVE_QUANTILES`` quantiles (``thresholds``) of the discrete
-    energies of all sequences, not the ``K^L`` table they were read from."""
+    """A coupling energy whose modes meet the certification contract
+    (``_certified``). It keeps the median and ``CURVE_QUANTILES`` quantiles
+    (``thresholds``) of all discrete energies, not the table behind them."""
 
     energy: PairwiseContactEnergy
     modes: np.ndarray     # (M, L) planted token sequences
@@ -311,27 +316,20 @@ def planted_landscape(
 ) -> PlantedLandscape:
     """Generate a coupling energy whose low-energy modes are known exactly.
 
-    The returned energy has ``n_modes`` planted sequences that are strict
-    local minima of the induced discrete energy, pairwise Hamming >= 2
-    apart, each at least ``depth`` below the median discrete energy and
-    below the ``DESIGNABLE_QUANTILE`` quantile. All of this is verified by
-    exhaustive enumeration (vocab**length <= 1e7 enforced) before the
-    landscape is returned; construction retries ``PLANT_RETRIES`` times with
-    fresh draws and raises LandscapeGenerationError if the checks never pass.
+    Each draw plants ``n_modes`` sequences pairwise Hamming >= 2 apart and
+    is returned once it meets the certification contract (``_certified``,
+    which raises ValueError on ``depth <= 0`` or ``K^L > MAX_ENUMERATION``).
+    A draw that fails is redrawn, ``PLANT_RETRIES`` times at most, before
+    LandscapeGenerationError is raised. This function checks only what it
+    needs to draw: the mode count and ``length >= 2``.
 
     Construction plants attractive couplings between mode tokens on every
     site pair, strong enough to sink the modes ``depth`` below the bulk,
     plus small random fields/couplings (``PLANT_NOISE_SCALE`` of the planted
     strength) for roughness and tie-breaking.
     """
-    if depth <= 0:
-        raise ValueError("depth must be positive")
     if n_modes < 1 or n_modes > vocab**length:
         raise ValueError("mode count must be in [1, K^L]")
-    if vocab**length > MAX_ENUMERATION:
-        raise ValueError(
-            f"K^L = {vocab ** length} exceeds the enumeration cap {MAX_ENUMERATION}"
-        )
     if length < 2:
         raise ValueError("planted landscapes need length >= 2 for couplings")
 
@@ -365,14 +363,40 @@ def planted_landscape(
     )
 
 
+def landscape_statistics(energy: PairwiseContactEnergy) -> tuple[float, tuple]:
+    """The statistics step: the median and ``CURVE_QUANTILES`` quantiles of
+    all discrete energies, from one ``K^L`` enumeration. The one place they
+    are computed, where a DP over a path or tree contact map would plug in."""
+    table = enumerate_discrete_energies(energy)
+    return (float(np.median(table)),
+            tuple(float(v) for v in np.quantile(table, CURVE_QUANTILES)))
+
+
 def _certified(energy: PairwiseContactEnergy, modes, seed: int,
                depth: float) -> PlantedLandscape | None:
-    """The landscape if its modes pass the planted checks; None otherwise.
-    Each mode's Hamming-1 check (one ``discrete_energies`` call on its L*K
-    one-site variants, scored as in the table) runs first. Only if all pass
-    is the token space enumerated, once: every mode must then lie ``depth``
-    below the table's median and below its ``DESIGNABLE_QUANTILE`` quantile."""
+    """The certification contract of every ``PlantedLandscape``, in order:
+    (1) ValueError unless ``depth > 0``, the modes are an (M, L) matrix of
+    tokens in [0, K) pairwise Hamming >= 2 apart, and the statistics step
+    can run; (2) each mode is a strict Hamming-1 minimum (one
+    ``discrete_energies`` call on its L*K one-site variants); (3) the
+    statistics step; (4) each mode lies at or below ``median - depth`` and
+    below the ``DESIGNABLE_QUANTILE`` threshold. A failure in (2)-(4) returns
+    None, so planting can retry. Messages use the landscape file's names."""
     length, vocab = energy.shape
+    if not depth > 0:  # written so that NaN fails too
+        raise ValueError("depth must be positive")
+    if modes.shape[1:] != (length,) or len(modes) < 1:
+        raise ValueError(f"block [modes] must be M x {length} with M >= 1, got {modes.shape}")
+    not_tokens = modes[~np.isin(modes, np.arange(vocab))]
+    if not_tokens.size:
+        raise ValueError(f"block [modes] holds {float(not_tokens[0])!r}, "
+                         f"not a token in [0, {vocab})")
+    modes = modes.astype(np.int64)
+    for a, b in itertools.combinations(range(len(modes)), 2):
+        apart = hamming_distance(modes[a], modes[b])
+        if apart < 2:
+            raise ValueError(f"modes {a} and {b} are Hamming {apart} apart, not >= 2")
+    _enumeration_size(length, vocab)
     e_modes = []
     for mode in modes:
         variants = np.tile(mode, (length, vocab, 1))  # [i, t]: mode with site i set to t
@@ -382,9 +406,7 @@ def _certified(energy: PairwiseContactEnergy, modes, seed: int,
         scores[np.arange(length), mode] = np.inf
         if np.any(scores <= e_modes[-1]):
             return None
-    table = enumerate_discrete_energies(energy)
-    median = float(np.median(table))
-    thresholds = tuple(float(v) for v in np.quantile(table, CURVE_QUANTILES))
+    median, thresholds = landscape_statistics(energy)
     designable = thresholds[CURVE_QUANTILES.index(DESIGNABLE_QUANTILE)]
     if not all(e <= median - depth and e < designable for e in e_modes):
         return None
@@ -396,6 +418,11 @@ def _certified(energy: PairwiseContactEnergy, modes, seed: int,
 # The shared text-block format (rss.textio): header seed/L/K/contacts/modes/
 # depth, then [fields] (L x K), one [contact i j] (K x K) per contact and
 # [modes] (M x L tokens).
+
+_LANDSCAPE_HEADER = {"seed": int, "L": int, "K": int, "contacts": int, "modes": int,
+                     "depth": float}
+_LANDSCAPE_BLOCKS = {"fields": ("L", "K", 1), "contact": ("K", "K", "contacts"),
+                     "modes": ("modes", "L", 1)}
 
 
 def save_landscape(landscape: PlantedLandscape, path, comment: str | None = None) -> None:
@@ -417,28 +444,33 @@ def save_landscape(landscape: PlantedLandscape, path, comment: str | None = None
 
 
 def load_landscape(path) -> PlantedLandscape:
-    header, blocks = read_blocks(path)
-    arrays = dict(blocks)
-    if "fields" not in arrays or "modes" not in arrays:
-        raise ValueError(f"landscape file {path} needs [fields] and [modes] blocks")
-    contacts = []
+    """The landscape a file holds, once its blocks match its header and it
+    meets the certification contract (``_certified``). Every failure, the
+    contract's included, is a ValueError whose message starts with the path."""
+    header, blocks = read_blocks(path, _LANDSCAPE_HEADER, _LANDSCAPE_BLOCKS)
+    contacts, pairs = [], set()
     for tag, mat in blocks:
-        if tag.startswith("contact "):
-            _, i, j = tag.split()
-            contacts.append((int(i), int(j), mat))
-    energy = PairwiseContactEnergy(contacts, arrays["fields"])
-    numbers = []
-    for key, kind, what in (("seed", int, "an integer"), ("depth", float, "a number")):
+        name, *sites = tag.split()
+        if name != "contact":
+            continue
         try:
-            numbers.append(kind(header[key]))
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: header line '{key}' is missing or not {what}") from None
-    seed, depth = numbers
-    not_tokens = arrays["modes"][~np.isin(arrays["modes"], np.arange(energy.shape[1]))]
-    if not_tokens.size:
-        raise ValueError(f"{path}: block [modes] holds {float(not_tokens[0])!r}, "
-                         f"not a token in [0, {energy.shape[1]})")
-    landscape = _certified(energy, arrays["modes"].astype(np.int64), seed, depth)
+            i, j = map(int, sites)
+        except ValueError:
+            raise ValueError(f"{path}: block [{tag}] must name two integer sites") from None
+        pair = (min(i, j), max(i, j))
+        if pair in pairs:
+            raise ValueError(f"{path}: block [{tag}] repeats the contact of sites "
+                             f"{pair[0]} and {pair[1]}")
+        pairs.add(pair)
+        contacts.append((i, j, mat))
+    arrays = dict(blocks)
+    try:
+        landscape = _certified(PairwiseContactEnergy(contacts, arrays["fields"]),
+                               arrays["modes"], header["seed"], header["depth"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if landscape is None:
-        raise LandscapeGenerationError(f"loaded landscape failed verification: {path}")
+        raise ValueError(f"{path}: the modes fail certification: each must be a strict "
+                         f"Hamming-1 minimum, at least depth below the median energy "
+                         f"and below the {DESIGNABLE_QUANTILE} quantile")
     return landscape

@@ -552,5 +552,15 @@ def save_snapshots(path, snapshots, shape: tuple[int, int], comment: str | None 
 
 
 def load_snapshots(path) -> list[tuple[int, np.ndarray]]:
-    _, blocks = read_blocks(path)
-    return [(int(tag.split()[1]), block) for tag, block in blocks]
+    """The (step, logits) snapshots a file holds. Each ``[snapshot t]`` block
+    must name one integer step and be L x K as the header gives; every
+    failure is a ValueError whose message starts with the path."""
+    _, blocks = read_blocks(path, {"L": int, "K": int}, {"snapshot": ("L", "K", None)})
+    snapshots = []
+    for tag, block in blocks:
+        try:
+            (step,) = map(int, tag.split()[1:])
+        except ValueError:  # not one integer
+            raise ValueError(f"{path}: block [{tag}] must name its step as one integer") from None
+        snapshots.append((step, block))
+    return snapshots

@@ -267,9 +267,10 @@ def calibrate_temperature(
 # --- model weight file ------------------------------------------------------
 #
 # The shared text-block format (rss.textio): header L/K/d, then one block
-# per weight array; vectors are stored as one-row blocks.
+# per weight array, its (rows, columns, count) below; vectors are one-row blocks.
 
-_BLOCKS = ("embed", "mask", "positional", "mix", "readout", "bias")
+_BLOCKS = {"embed": ("K", "d", 1), "mask": (1, "d", 1), "positional": ("L", "d", 1),
+           "mix": ("d", "d", 1), "readout": ("d", "K", 1), "bias": (1, "K", 1)}
 
 
 def save_model(model: MaskedSequenceModel, path) -> None:
@@ -288,10 +289,11 @@ def save_model(model: MaskedSequenceModel, path) -> None:
 
 
 def load_model(path) -> MaskedSequenceModel:
-    _, blocks = read_blocks(path)
+    """The model a file holds. Each block must have the shape its header's
+    L, K and d give, or a ValueError whose message starts with the path is
+    raised; non-finite weights fail in ``MaskedSequenceModel``."""
+    _, blocks = read_blocks(path, {"L": int, "K": int, "d": int}, _BLOCKS)
     arrays = dict(blocks)
-    if set(arrays) != set(_BLOCKS):
-        raise ValueError(f"model file {path} needs blocks {list(_BLOCKS)}, got {list(arrays)}")
     return MaskedSequenceModel(
         embed=arrays["embed"],
         mask_embed=arrays["mask"][0],

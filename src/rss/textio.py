@@ -10,7 +10,9 @@ Landscape, model-weight and snapshot files share one grammar:
     v v v ...            one matrix row per line, numbers to 17 significant
                          digits (float64 round-trips bit-exactly)
 
-A block runs to the next ``[tag]`` line or the end of the file.
+A block runs to the next ``[tag]`` line or the end of the file. A loader
+names the header keys its file must hold and each block's shape in terms of
+them, and ``read_blocks`` checks both.
 """
 
 from __future__ import annotations
@@ -42,8 +44,16 @@ def write_blocks(path, comments, header: dict, blocks) -> None:
     write_text(path, "\n".join(lines) + "\n", comments)
 
 
-def read_blocks(path) -> tuple[dict, list]:
-    """Returns (header of str values, [(tag, 2-D float64 array)])."""
+def read_blocks(path, header_kinds: dict, block_shapes: dict) -> tuple[dict, list]:
+    """Read a block file and check it against its header.
+
+    ``header_kinds`` maps each header key the file must hold to ``int`` or
+    ``float``. ``block_shapes`` maps each block name (a tag's first word) to
+    ``(rows, columns, count)``: a size is a header key or a number, and
+    ``count`` is how many such blocks the file holds (a header key or a
+    number), or None for any number. Every failure is a ValueError whose
+    message starts with the path. Returns (header values, [(tag, 2-D
+    float64 array)]) in file order."""
     header: dict[str, str] = {}
     blocks: list[tuple[str, list]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,4 +79,24 @@ def read_blocks(path) -> tuple[dict, list]:
             if len(row) != len(rows[0]):
                 raise ValueError(f"{path}: block [{tag}] is ragged: row 1 has "
                                  f"{len(rows[0])} values, row {number} has {len(row)}")
-    return header, [(tag, np.array(rows)) for tag, rows in blocks]
+        if (tag.split() or [""])[0] not in block_shapes:
+            raise ValueError(f"{path}: unexpected block [{tag}]")
+    values = {}
+    for key, kind in header_kinds.items():
+        try:
+            values[key] = kind(header[key])
+        except (KeyError, ValueError):
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{path}: header line '{key}' is missing or not {what}") from None
+    arrays = [(tag, np.array(rows) if rows else np.empty((0, 0))) for tag, rows in blocks]
+    for name, (rows, columns, count) in block_shapes.items():
+        named = [(tag, arr) for tag, arr in arrays if tag.split()[0] == name]
+        if count is not None and len(named) != values.get(count, count):
+            want = f"{count} = {values[count]}" if count in values else count
+            raise ValueError(f"{path}: the file has {len(named)} [{name}] blocks, not {want}")
+        shape = (values.get(rows, rows), values.get(columns, columns))
+        for tag, arr in named:
+            if arr.shape != shape:
+                raise ValueError(f"{path}: block [{tag}] is {arr.shape[0]} x {arr.shape[1]}, "
+                                 f"not {rows} x {columns} = {shape[0]} x {shape[1]}")
+    return values, arrays

@@ -878,13 +878,45 @@ class TestConfigErrors:
         self.check_rejected(tmp_path, capsys, command, text,
                             f"[Errno 2] No such file or directory: '{missing}'")
 
+    # an empty [mask] block used to exit 1 with an IndexError naming no file
+    def test_malformed_model_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "model.txt"
+        save_model(MaskedSequenceModel.random(8, 5, 8, Rng(5)), path)
+        lines = path.read_text().splitlines()
+        del lines[lines.index("[mask]") + 1]
+        path.write_text("\n".join(lines) + "\n")
+        text = TestValidate.CONFIG.replace("[model]\n", f"[model]\nfile = {path}\n")
+        self.check_rejected(tmp_path, capsys, "validate", text,
+                            f"{path}: block [mask] is 0 x 0, not 1 x d = 1 x 8")
+
     # a landscape file without its depth line used to exit 1 with "error:
     # 'depth'", and a [modes] entry of 3.4 ran as token 3 and exited 0
     @pytest.mark.parametrize("command", ["run", "bench"])
     @pytest.mark.parametrize("old, new, message", [
         ("depth 2\n", "", "header line 'depth' is missing or not a number"),
         ("[modes]\n3 ", "[modes]\n3.4 ", "block [modes] holds 3.4, not a token in [0, 4)"),
-    ], ids=["no-depth", "fractional-mode"])
+        # each of these used to run, to exit 1, or to exit 2 naming no file
+        ("depth 2\n", "depth -50\n", "depth must be positive"),
+        ("1 3 3 3 1 1\n", "3 3 2 1 0 1\n", "modes 0 and 2 are Hamming 0 apart, not >= 2"),
+        ("1 3 3 3 1 1\n", "3 3 2 1 0 0\n", "modes 0 and 2 are Hamming 1 apart, not >= 2"),
+        ("1 3 3 3 1 1\n", "0 1 2 3 0 1\n",
+         "the modes fail certification: each must be a strict Hamming-1 minimum, at least "
+         "depth below the median energy and below the 0.05 quantile"),
+        ("3 3 2 1 0 1\n1 0 0 3 2 0\n1 3 3 3 1 1\n", "3 3 2 1 0\n1 0 0 3 2\n1 3 3 3 1\n",
+         "block [modes] is 3 x 5, not modes x L = 3 x 6"),
+        ("L 6\n", "L 9\n", "block [fields] is 6 x 4, not L x K = 9 x 4"),
+        ("K 4\n", "K 7\n", "block [fields] is 6 x 4, not L x K = 6 x 7"),
+        ("contacts 15\n", "contacts 3\n", "the file has 15 [contact] blocks, not contacts = 3"),
+        ("[contact 0 1]\n", "[contact 0]\n",
+         "block [contact 0] must name two integer sites"),
+        ("[contact 0 1]\n", "[contact 0 9]\n",
+         "contact (0, 9) out of range or self-coupling"),
+        ("[contact 0 2]\n", "[contact 1 0]\n",
+         "block [contact 1 0] repeats the contact of sites 0 and 1"),
+    ], ids=["no-depth", "fractional-mode", "negative-depth", "repeated-mode",
+            "modes-one-apart", "not-a-minimum", "short-mode-rows", "header-L", "header-K",
+            "header-contacts", "contact-one-site", "contact-out-of-range",
+            "repeated-contact-pair"])
     def test_malformed_landscape_file_exit_two(self, tmp_path, capsys, command, old, new,
                                                message):
         path = tmp_path / "landscape.txt"

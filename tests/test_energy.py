@@ -18,6 +18,7 @@ from rss.energy import (
     PlantedLandscape,
     TargetProfileEnergy,
     enumerate_discrete_energies,
+    landscape_statistics,
     load_landscape,
     planted_landscape,
     save_landscape,
@@ -340,6 +341,12 @@ class TestPlantedLandscape:
         assert np.array([loaded.median_energy, *loaded.thresholds]).tobytes() == (
             np.array([land.median_energy, *land.thresholds]).tobytes())
 
+    def test_statistics_step_gives_what_the_landscape_carries(self):
+        land = planted_landscape(8, 5, 5, 3.0, Rng(7))
+        median, thresholds = landscape_statistics(land.energy)
+        assert np.array([median, *thresholds]).tobytes() == (
+            np.array([land.median_energy, *land.thresholds]).tobytes())
+
     def test_certification_enumerates_once(self, monkeypatch):
         # seed 7's first draw fails the modes' Hamming-1 check, which runs
         # before any enumeration
@@ -440,8 +447,28 @@ class TestPlantedLandscape:
         ("seed 26\n", "seed 2.5\n", "header line 'seed' is missing or not an integer"),
         ("[modes]\n1 ", "[modes]\n1.4 ", "block [modes] holds 1.4, not a token in [0, 3)"),
         ("[modes]\n1 ", "[modes]\nnan ", "block [modes] holds nan, not a token in [0, 3)"),
+        # each of these used to load, or to fail naming no file or not as a ValueError
+        ("depth 1.5\n", "depth -50\n", "depth must be positive"),
+        ("2 1 1 0\n", "1 0 0 2\n", "modes 0 and 1 are Hamming 0 apart, not >= 2"),
+        ("2 1 1 0\n", "1 0 0 0\n", "modes 0 and 1 are Hamming 1 apart, not >= 2"),
+        ("2 1 1 0\n", "0 2 2 1\n",
+         "the modes fail certification: each must be a strict Hamming-1 minimum, at least "
+         "depth below the median energy and below the 0.05 quantile"),
+        ("1 0 0 2\n2 1 1 0\n", "1 0 0\n2 1 1\n",
+         "block [modes] is 2 x 3, not modes x L = 2 x 4"),
+        ("L 4\n", "L 9\n", "block [fields] is 4 x 3, not L x K = 9 x 3"),
+        ("K 3\n", "K 7\n", "block [fields] is 4 x 3, not L x K = 4 x 7"),
+        ("contacts 6\n", "contacts 3\n", "the file has 6 [contact] blocks, not contacts = 3"),
+        ("[contact 0 1]\n", "[contact 0]\n",
+         "block [contact 0] must name two integer sites"),
+        ("[contact 0 1]\n", "[contact 0 9]\n",
+         "contact (0, 9) out of range or self-coupling"),
+        ("[contact 0 2]\n", "[contact 1 0]\n",
+         "block [contact 1 0] repeats the contact of sites 0 and 1"),
     ], ids=["no-depth", "depth-word", "no-seed", "fractional-seed", "fractional-mode",
-            "nan-mode"])
+            "nan-mode", "negative-depth", "repeated-mode", "modes-one-apart",
+            "not-a-minimum", "short-mode-rows", "header-L", "header-K", "header-contacts",
+            "contact-one-site", "contact-out-of-range", "repeated-contact-pair"])
     def test_malformed_file_names_file_and_problem(self, tmp_path, old, new, message):
         path = tmp_path / "landscape.txt"
         save_landscape(planted_landscape(4, 3, 2, 1.5, Rng(26)), path)

@@ -161,3 +161,33 @@ def test_malformed_line_names_file_and_line(tmp_path, old, new, message):
     with pytest.raises(ValueError) as info:
         load_landscape(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+# each of these used to load, or to fail with an IndexError or a message
+# naming no file
+@pytest.mark.parametrize("text, load, old, new, message", [
+    (MODEL, load_model, "[mask]\n3 -0\n", "[mask]\n", "block [mask] is 0 x 0, not 1 x d = 1 x 2"),
+    (MODEL, load_model, "L 1\n", "L 2\n",
+     "block [positional] is 1 x 2, not L x d = 2 x 2"),
+    (MODEL, load_model, "[bias]\n0.69999999999999996 -1.1000000000000001\n",
+     "[bias]\n0.69999999999999996 -1.1000000000000001\n0.5 0.5\n",
+     "block [bias] is 2 x 2, not 1 x K = 1 x 2"),
+    (MODEL, load_model, "[mix]\n0.5 0.25\n-1 7\n", "[mix]\n0.5 0.25\n",
+     "block [mix] is 1 x 2, not d x d = 2 x 2"),
+    (MODEL, load_model, "d 2\n", "", "header line 'd' is missing or not an integer"),
+    (MODEL, load_model, "[bias]\n", "[scale]\n", "unexpected block [scale]"),
+    (SNAPSHOTS, load_snapshots, "[snapshot 50]\n", "[snapshot]\n",
+     "block [snapshot] must name its step as one integer"),
+    (SNAPSHOTS, load_snapshots, "[snapshot 50]\n", "[snapshot x]\n",
+     "block [snapshot x] must name its step as one integer"),
+    (SNAPSHOTS, load_snapshots, "L 2\n", "L 5\n",
+     "block [snapshot 50] is 2 x 2, not L x K = 5 x 2"),
+], ids=["empty-mask", "header-L", "two-row-bias", "short-mix", "no-width",
+        "unknown-block", "snapshot-without-step", "snapshot-word-step", "snapshot-header-L"])
+def test_block_against_header_names_file(tmp_path, text, load, old, new, message):
+    path = tmp_path / "file.txt"
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"

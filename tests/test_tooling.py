@@ -1,15 +1,22 @@
 """The benchmark harness reaches into ``rss`` by name, README's configs are
-read by ``rss``, and every JSON file ``rss`` writes is read by other tools:
-these tests fail when a change deletes or renames a function the harness
-wraps or calls, when a README config stops parsing, or when a command writes
-a JSON file that strict parsers reject."""
+read by ``rss``, every JSON file ``rss`` writes is read by other tools, and
+the CI workflow drives the ``rss`` script: these tests fail when a change
+deletes or renames a function the harness wraps or calls, when a README
+config stops parsing, when a command writes a JSON file that strict parsers
+reject, or when the workflow's console-script step fails."""
 
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import re
+import shutil
+import subprocess
 import sys
+import textwrap
+
+import pytest
 
 from rss.cli import load_config, main
 
@@ -150,3 +157,27 @@ def test_json_outputs_are_strict_json(tmp_path):
         assert written, command
         for path in written:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_workflow_console_script_step(tmp_path):
+    # the step's shell block, verbatim, as the runner's bash runs it, with
+    # `rss` standing for `python -m rss.cli` on this checkout
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = re.search(r"^      - name: Console script\n(?:        #.*\n)*        run: \|\n"
+                     r"((?:          .*\n|\n)+)", workflow, flags=re.M)
+    script = tmp_path / "step.sh"
+    script.write_text(textwrap.dedent(step.group(1)), encoding="utf-8")
+    shim = tmp_path / "bin" / "rss"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m rss.cli "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path),
+               PATH=os.pathsep.join([str(shim.parent), os.environ.get("PATH", "")]),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert (tmp_path / "run-neg-depth.err").read_text(encoding="utf-8") == (
+        f"config error: {tmp_path}/neg-depth.txt: depth must be positive\n")
