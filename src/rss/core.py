@@ -57,11 +57,15 @@ class Rng:
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("categorical weights must be finite and nonnegative")
         cdf = np.cumsum(w)
-        total = cdf[-1]
-        if total <= 0:
+        if cdf[-1] <= 0:
             raise ValueError("categorical weights sum to zero")
-        idx = int(np.searchsorted(cdf, self.uniform() * total, side="right"))
-        return min(idx, w.size - 1)
+        return self._inverse_cdf(cdf)
+
+    def _inverse_cdf(self, cdf: np.ndarray) -> int:
+        # unchecked: the cumulative sums of nonnegative weights with a
+        # positive total; the index of the first sum above one uniform
+        idx = int(np.searchsorted(cdf, self.uniform() * cdf[-1], side="right"))
+        return min(idx, cdf.size - 1)
 
     def integer(self, n: int) -> int:
         """Uniform token in [0, n) from a single uniform draw."""
@@ -93,6 +97,25 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)
+
+
+class RowSoftmax:
+    """The row softmax of one checked logit matrix, taken once for every
+    energy term of one evaluation that reads it (``EnergyModel.reads_rows``).
+
+    The parts are ``softmax_rows``' operations, so ``q`` has its bits:
+    ``shifted`` (the logits less their row maxima), ``norm`` (the row sums
+    of ``exp(shifted)``) and ``q`` (the marginals). ``log_conditionals``
+    maps ``(model, tau)`` to the tempered masked-model log-conditionals a
+    prior term computed on ``q``, which the chain reuses for its jumps.
+    """
+
+    def __init__(self, logits: np.ndarray):
+        self.shifted = logits - logits.max(axis=1, keepdims=True)
+        expd = np.exp(self.shifted)
+        self.norm = expd.sum(axis=1, keepdims=True)
+        self.q = expd / self.norm
+        self.log_conditionals = {}
 
 
 def row_marginals(logits) -> np.ndarray:

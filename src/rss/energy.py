@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, hamming_distance, softmax_rows
+from .core import Rng, RowSoftmax, hamming_distance, softmax_rows
 from .textio import read_blocks, write_blocks
 
 
@@ -30,7 +30,15 @@ class EnergyModel(ABC):
     check it: the caller does, where the logits enter the program
     (``core.as_logits(logits, energy.shape)`` in ``ChainState.initialize``,
     ``run_rso`` and ``enumerate_jump_flow``).
+
+    An energy whose ``reads_rows`` is true takes a second argument,
+    ``rows``: the ``core.RowSoftmax`` of the same logits, shared with the
+    other terms of one evaluation, or None (the default), when it takes its
+    own. It reads the softmax from it, gives the same bits as without it,
+    and may leave there what the chain reuses (a prior's log-conditionals).
     """
+
+    reads_rows = False
 
     @property
     @abstractmethod
@@ -48,11 +56,18 @@ def _softmax_row_backprop(marginals: np.ndarray, dE_dq: np.ndarray) -> np.ndarra
     return marginals * (dE_dq - inner)
 
 
+def _evaluate_term(energy: EnergyModel, logits: np.ndarray,
+                   rows: RowSoftmax | None) -> tuple[float, np.ndarray]:
+    # ``rows`` go to a term that reads them, and to no other
+    return energy.evaluate(logits, rows) if energy.reads_rows else energy.evaluate(logits)
+
+
 class CompositeEnergy(EnergyModel):
     """Weighted sum of a structural term and a prior term.
 
     E = structural + lam * prior, gradients likewise; each component is
-    evaluated exactly once per call.
+    evaluated exactly once per call, on one row softmax of the logits
+    (``RowSoftmax``) when either reads it.
     """
 
     def __init__(self, structural: EnergyModel, prior: EnergyModel, lam: float):
@@ -65,14 +80,18 @@ class CompositeEnergy(EnergyModel):
         self.structural = structural
         self.prior = prior
         self.lam = float(lam)
+        self.reads_rows = structural.reads_rows or prior.reads_rows
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.structural.shape
 
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        e_s, g_s = self.structural.evaluate(logits)
-        e_p, g_p = self.prior.evaluate(logits)
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
+        if rows is None and self.reads_rows:
+            rows = RowSoftmax(logits)
+        e_s, g_s = _evaluate_term(self.structural, logits, rows)
+        e_p, g_p = _evaluate_term(self.prior, logits, rows)
         return e_s + self.lam * e_p, g_s + self.lam * g_p
 
 
@@ -83,6 +102,8 @@ class TargetProfileEnergy(EnergyModel):
     matches its target. Gradient per row is simply q_i - target_i. Unimodal,
     used as a smoke-test structural surrogate.
     """
+
+    reads_rows = True
 
     def __init__(self, targets: np.ndarray):
         targets = np.asarray(targets, dtype=np.float64)
@@ -97,15 +118,14 @@ class TargetProfileEnergy(EnergyModel):
     def shape(self) -> tuple[int, int]:
         return self.targets.shape
 
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        norm = expd.sum(axis=1, keepdims=True)
-        q = expd / norm
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
+        if rows is None:
+            rows = RowSoftmax(logits)
         # log q via the shifted logits avoids log(0) for saturated rows
-        log_q = shifted - np.log(norm)
+        log_q = rows.shifted - np.log(rows.norm)
         value = float(-(self.targets * log_q).sum())
-        return value, q - self.targets
+        return value, rows.q - self.targets
 
 
 class PairwiseContactEnergy(EnergyModel):
@@ -116,6 +136,8 @@ class PairwiseContactEnergy(EnergyModel):
     jump kernel exists to cross. Also exposes the induced discrete energy
     at exact one-hot marginals: E(x) = sum M_ij[x_i, x_j] + sum h_i[x_i].
     """
+
+    reads_rows = True
 
     def __init__(self, contacts, fields: np.ndarray):
         fields = np.asarray(fields, dtype=np.float64)
@@ -145,8 +167,9 @@ class PairwiseContactEnergy(EnergyModel):
     def shape(self) -> tuple[int, int]:
         return self.fields.shape
 
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        q = softmax_rows(logits)
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
+        q = softmax_rows(logits) if rows is None else rows.q
         value = float((q * self.fields).sum())
         dq = self.fields.copy()
         if self.couplings.shape[0]:
@@ -213,18 +236,25 @@ class CountingEnergy(EnergyModel):
     def __init__(self, inner: EnergyModel):
         self.inner = inner
         self.calls = 0
+        self.reads_rows = inner.reads_rows
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.inner.shape
 
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         self.calls += 1
-        return self.inner.evaluate(logits)
+        return _evaluate_term(self.inner, logits, rows)
 
 
 class LandscapeGenerationError(RuntimeError):
     """Raised when a planted landscape fails its construction checks."""
+
+
+class CertificationError(ValueError):
+    """A mode fails a check of the certification contract (``_certified``);
+    the message names the mode and the check."""
 
 
 MAX_ENUMERATION = 10_000_000
@@ -319,8 +349,9 @@ def planted_landscape(
     Each draw plants ``n_modes`` sequences pairwise Hamming >= 2 apart and
     is returned once it meets the certification contract (``_certified``,
     which raises ValueError on ``depth <= 0`` or ``K^L > MAX_ENUMERATION``).
-    A draw that fails is redrawn, ``PLANT_RETRIES`` times at most, before
-    LandscapeGenerationError is raised. This function checks only what it
+    A draw whose modes fail (CertificationError) is redrawn,
+    ``PLANT_RETRIES`` times at most, before LandscapeGenerationError is
+    raised. This function checks only what it
     needs to draw: the mode count and ``length >= 2``.
 
     Construction plants attractive couplings between mode tokens on every
@@ -353,9 +384,10 @@ def planted_landscape(
         fields = noise * rng.normal((length, vocab))
         energy = PairwiseContactEnergy(contacts, fields)
 
-        landscape = _certified(energy, modes, seed, depth)
-        if landscape is not None:
-            return landscape
+        try:
+            return _certified(energy, modes, seed, depth)
+        except CertificationError:
+            continue
 
     raise LandscapeGenerationError(
         f"landscape checks failed after {PLANT_RETRIES} attempts "
@@ -373,15 +405,16 @@ def landscape_statistics(energy: PairwiseContactEnergy) -> tuple[float, tuple]:
 
 
 def _certified(energy: PairwiseContactEnergy, modes, seed: int,
-               depth: float) -> PlantedLandscape | None:
+               depth: float) -> PlantedLandscape:
     """The certification contract of every ``PlantedLandscape``, in order:
     (1) ValueError unless ``depth > 0``, the modes are an (M, L) matrix of
     tokens in [0, K) pairwise Hamming >= 2 apart, and the statistics step
     can run; (2) each mode is a strict Hamming-1 minimum (one
     ``discrete_energies`` call on its L*K one-site variants); (3) the
     statistics step; (4) each mode lies at or below ``median - depth`` and
-    below the ``DESIGNABLE_QUANTILE`` threshold. A failure in (2)-(4) returns
-    None, so planting can retry. Messages use the landscape file's names."""
+    below the ``DESIGNABLE_QUANTILE`` threshold. The first failure in (2) or
+    (4) raises CertificationError naming the mode and the check, on which
+    planting retries. Messages use the landscape file's names."""
     length, vocab = energy.shape
     if not depth > 0:  # written so that NaN fails too
         raise ValueError("depth must be positive")
@@ -398,18 +431,28 @@ def _certified(energy: PairwiseContactEnergy, modes, seed: int,
             raise ValueError(f"modes {a} and {b} are Hamming {apart} apart, not >= 2")
     _enumeration_size(length, vocab)
     e_modes = []
-    for mode in modes:
+    for m, mode in enumerate(modes):
         variants = np.tile(mode, (length, vocab, 1))  # [i, t]: mode with site i set to t
         variants[np.arange(length), :, np.arange(length)] = np.arange(vocab)
         scores = energy.discrete_energies(variants.reshape(-1, length)).reshape(length, vocab)
         e_modes.append(scores[0, mode[0]])
         scores[np.arange(length), mode] = np.inf
-        if np.any(scores <= e_modes[-1]):
-            return None
+        ties = np.argwhere(scores <= e_modes[-1])
+        if ties.size:
+            site, token = ties[0]
+            raise CertificationError(
+                f"mode {m} is not a strict Hamming-1 minimum: site {site} set to token "
+                f"{token} gives energy {float(scores[site, token])!r} <= the mode's "
+                f"{float(e_modes[-1])!r}")
     median, thresholds = landscape_statistics(energy)
     designable = thresholds[CURVE_QUANTILES.index(DESIGNABLE_QUANTILE)]
-    if not all(e <= median - depth and e < designable for e in e_modes):
-        return None
+    for m, e in enumerate(e_modes):
+        if not e <= median - depth:
+            raise CertificationError(f"mode {m} has energy {float(e)!r}, above median - depth "
+                                     f"= {median - depth!r}")
+        if not e < designable:
+            raise CertificationError(f"mode {m} has energy {float(e)!r}, not below the "
+                                     f"{DESIGNABLE_QUANTILE} quantile {designable!r}")
     return PlantedLandscape(energy, modes, seed, depth, median, thresholds)
 
 
@@ -465,12 +508,7 @@ def load_landscape(path) -> PlantedLandscape:
         contacts.append((i, j, mat))
     arrays = dict(blocks)
     try:
-        landscape = _certified(PairwiseContactEnergy(contacts, arrays["fields"]),
-                               arrays["modes"], header["seed"], header["depth"])
-    except ValueError as exc:
+        return _certified(PairwiseContactEnergy(contacts, arrays["fields"]),
+                          arrays["modes"], header["seed"], header["depth"])
+    except ValueError as exc:  # CertificationError included
         raise ValueError(f"{path}: {exc}") from None
-    if landscape is None:
-        raise ValueError(f"{path}: the modes fail certification: each must be a strict "
-                         f"Hamming-1 minimum, at least depth below the median energy "
-                         f"and below the {DESIGNABLE_QUANTILE} quantile")
-    return landscape

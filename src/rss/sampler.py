@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LOG_FLOOR, Rng, as_logits
+from .core import LOG_FLOOR, Rng, RowSoftmax, as_logits
 from .energy import EnergyModel, CountingEnergy
 from .softplm import MaskedSequenceModel
 from .textio import read_blocks, write_blocks
@@ -75,32 +75,54 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
 
 
+def _evaluate(energy: EnergyModel, logits: np.ndarray) -> tuple[float, np.ndarray, dict]:
+    # (value, gradient) and the log-conditionals a prior term kept on the
+    # evaluation's row softmax, keyed (model, tau) (see RowSoftmax)
+    if not energy.reads_rows:
+        return (*energy.evaluate(logits), {})
+    rows = RowSoftmax(logits)
+    return (*energy.evaluate(logits, rows), rows.log_conditionals)
+
+
 @dataclass
 class ChainState:
-    """Current logits with their cached energy, gradient and jump terms."""
+    """Current logits with their cached energy, gradient and jump terms.
+
+    ``log_conditionals`` holds what the state's evaluation kept: the
+    tempered masked-model log-conditionals of a prior term, keyed
+    ``(model, tau)``, which ``jump_terms`` reads instead of a forward.
+    """
 
     logits: np.ndarray
     energy: float
     gradient: np.ndarray
+    log_conditionals: dict = field(default_factory=dict, kw_only=True, repr=False,
+                                   compare=False)
     _jump: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def initialize(cls, logits, energy_model: EnergyModel) -> "ChainState":
         logits = as_logits(logits, energy_model.shape)
-        value, grad = energy_model.evaluate(logits)
+        value, grad, kept = _evaluate(energy_model, logits)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             raise ValueError("the start state's energy or gradient is not finite")
-        return cls(logits=logits, energy=value, gradient=grad)
+        return cls(logits=logits, energy=value, gradient=grad, log_conditionals=kept)
 
     def jump_terms(self, cfg: SamplerConfig, model: MaskedSequenceModel) -> tuple:
-        """(probs, table, z, log_cond): the state's mask probabilities, their
-        size table and Z(p), and its masked-model log-conditionals at cfg.tau,
-        computed once per key (kappa, s_max, tau, model)."""
+        """(probs, log_weights, table, z, log_cond): the state's mask
+        probabilities, their floored logs (``_log_weights``), their size
+        table and Z(p), and its masked-model log-conditionals at cfg.tau,
+        computed once per key (kappa, s_max, tau, model). The log-conditionals
+        are those the state's evaluation kept under ``(model, cfg.tau)``, the
+        same bits, or else come from a forward of their own."""
         key = (cfg.kappa, cfg.s_max, cfg.tau, model)
         if self._jump[0] != key:
             probs = mask_probabilities(self.gradient, cfg.kappa)
-            log_cond = model.log_conditionals_from_logits(self.logits, cfg.tau)
-            self._jump = key, (probs, *_size_table(probs, cfg.s_max), log_cond)
+            log_cond = self.log_conditionals.get((model, cfg.tau))
+            if log_cond is None:
+                log_cond = model.log_conditionals_from_logits(self.logits, cfg.tau)
+            self._jump = key, (probs, _log_weights(probs), *_size_table(probs, cfg.s_max),
+                               log_cond)
         return self._jump[1]
 
 
@@ -151,13 +173,14 @@ def walk_propose(
         return WalkProposal(proposed, np.nan, np.full_like(state.logits, np.nan),
                             np.nan, np.nan, finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, grad = energy.evaluate(proposed)
+        value, grad, kept = _evaluate(energy, proposed)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):
         return WalkProposal(proposed, value, grad, np.nan, np.nan, finite=False)
 
     log_q_forward = gaussian_log_density(proposed, mean_forward, var)
     log_q_reverse = gaussian_log_density(state.logits, proposed - cfg.eta * grad, var)
-    return WalkProposal(proposed, value, grad, log_q_forward, log_q_reverse)
+    return WalkProposal(proposed, value, grad, log_q_forward, log_q_reverse,
+                        log_conditionals=kept)
 
 
 def walk_accept(state: ChainState, proposal: WalkProposal, cfg: SamplerConfig) -> float:
@@ -193,13 +216,18 @@ def mask_probabilities(gradient: np.ndarray, kappa: float) -> np.ndarray:
 def _size_table(probs: np.ndarray, s_max: int) -> tuple[list[list[float]], float]:
     # table[i][k] = P(exactly k of sites 0..i-1 are picked) for k <= s_max;
     # trajectories exceeding s_max are dropped (they can never return).
-    # Plain floats, O(L * s_max). Returns the table and Z(p).
+    # Plain floats, O(L * s_max): each row is a copy of the last, updated
+    # from its top entry down. Returns the table and Z(p).
     cap = min(s_max, probs.size)
     row = [1.0] + [0.0] * cap
     table = [row]
+    downward = range(cap, 0, -1)
     for p in probs.tolist():
         q = 1.0 - p
-        row = [row[0] * q] + [row[k] * q + row[k - 1] * p for k in range(1, cap + 1)]
+        row = row.copy()
+        for k in downward:
+            row[k] = row[k] * q + row[k - 1] * p
+        row[0] *= q
         table.append(row)
     return table, float(np.sum(row[1:]))
 
@@ -209,12 +237,18 @@ def mask_normalizer(probs: np.ndarray, s_max: int) -> float:
     return _size_table(np.asarray(probs, dtype=np.float64), s_max)[1]
 
 
-def _log_mass(sites: np.ndarray, probs: np.ndarray, z: float | None, mask_mode: str) -> float:
-    # the one pricing rule of a site set, see mask_log_mass; z = Z(p) or None
-    member = np.zeros(probs.size, dtype=bool)
+def _log_weights(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (log p, log(1 - p)), each floored at LOG_FLOOR before the log
+    return np.log(np.maximum(probs, LOG_FLOOR)), np.log(np.maximum(1.0 - probs, LOG_FLOOR))
+
+
+def _log_mass(sites: np.ndarray, log_weights: tuple, z: float | None, mask_mode: str) -> float:
+    # the one pricing rule of a site set, see mask_log_mass; log_weights
+    # from _log_weights, z = Z(p) or None
+    log_in, log_out = log_weights
+    member = np.zeros(log_in.size, dtype=bool)
     member[np.asarray(sites, dtype=np.int64)] = True
-    terms = np.where(member, probs, 1.0 - probs)
-    raw = float(np.log(np.maximum(terms, LOG_FLOOR)).sum())
+    raw = float(np.where(member, log_in, log_out).sum())
     if mask_mode == "paper":
         return raw
     if z <= 0.0:
@@ -234,11 +268,11 @@ def mask_log_mass(
     """
     probs = np.asarray(probs, dtype=np.float64)
     z = None if mask_mode == "paper" else mask_normalizer(probs, s_max)
-    return _log_mass(sites, probs, z, mask_mode)
+    return _log_mass(sites, _log_weights(probs), z, mask_mode)
 
 
-def _draw_mask(probs, table, z, s_max, rng, mask_mode) -> tuple[np.ndarray, float]:
-    # sample_mask from the size table and Z(p) of probs
+def _draw_mask(probs, log_weights, table, z, s_max, rng, mask_mode) -> tuple[np.ndarray, float]:
+    # sample_mask from the _log_weights, size table and Z(p) of probs
     if z <= 0.0:
         raise MaskSamplingError(
             f"no mask with 1 <= |S| <= {s_max} has positive probability "
@@ -258,7 +292,7 @@ def _draw_mask(probs, table, z, s_max, rng, mask_mode) -> tuple[np.ndarray, floa
             if k == 0:
                 break
     sites = np.array(picked[::-1], dtype=np.int64)
-    return sites, _log_mass(sites, probs, z, mask_mode)
+    return sites, _log_mass(sites, log_weights, z, mask_mode)
 
 
 def sample_mask(
@@ -277,8 +311,8 @@ def sample_mask(
     (see ``mask_log_mass``).
     """
     probs = np.asarray(probs, dtype=np.float64)
-    table, z = _size_table(probs, s_max)
-    return _draw_mask(probs, table, z, s_max, rng, mask_mode)
+    return _draw_mask(probs, _log_weights(probs), *_size_table(probs, s_max), s_max, rng,
+                      mask_mode)
 
 
 @dataclass
@@ -303,30 +337,35 @@ def jump_propose(
 
     Sites outside the mask are untouched. Draw order is fixed (sites
     ascending; forward token then reference token) so runs replay exactly.
+    A forward token is ``Rng.categorical``'s inverse-CDF draw on its site's
+    conditional, whose rows are finite and positive by construction.
     """
-    probs, table, z, log_cond = state.jump_terms(cfg, model)
-    sites, log_mass = _draw_mask(probs, table, z, cfg.s_max, rng, cfg.mask_mode)
+    probs, log_weights, table, z, log_cond = state.jump_terms(cfg, model)
+    sites, log_mass = _draw_mask(probs, log_weights, table, z, cfg.s_max, rng, cfg.mask_mode)
 
-    cond = np.exp(log_cond)
+    masked = log_cond[sites]
+    cdfs = np.cumsum(np.exp(masked), axis=1)
     vocab = state.logits.shape[1]
 
-    forward = np.empty(sites.size, dtype=np.int64)
-    reference = np.empty(sites.size, dtype=np.int64)
+    forward, reference = [], []
     log_plm = 0.0
-    for pos, site in enumerate(sites):
-        forward[pos] = rng.categorical(cond[site])
-        reference[pos] = rng.integer(vocab)
-        log_plm += float(log_cond[site, forward[pos]])
+    for pos in range(sites.size):
+        token = rng._inverse_cdf(cdfs[pos])
+        forward.append(token)
+        reference.append(rng.integer(vocab))
+        log_plm += float(masked[pos, token])
+    forward = np.array(forward, dtype=np.int64)
+    reference = np.array(reference, dtype=np.int64)
     swapped = forward != reference  # identity swaps leave the row bit-identical
     proposed = state.logits.copy()
     proposed[sites[swapped], forward[swapped]] += cfg.gamma
     proposed[sites[swapped], reference[swapped]] -= cfg.gamma
 
-    value, grad = energy.evaluate(proposed)
+    value, grad, kept = _evaluate(energy, proposed)
     finite = bool(np.isfinite(value) and np.all(np.isfinite(grad)))
     return JumpProposal(
         proposed, value, grad, sites, forward, reference, log_mass, log_plm,
-        finite=finite,
+        finite=finite, log_conditionals=kept,
     )
 
 
@@ -345,8 +384,8 @@ def jump_accept(
     """
     if not proposal.finite:
         return -np.inf
-    probs_rev, _, z_rev, log_cond_rev = proposal.jump_terms(cfg, model)
-    log_mass_rev = _log_mass(proposal.sites, probs_rev, z_rev, cfg.mask_mode)
+    _, log_weights_rev, _, z_rev, log_cond_rev = proposal.jump_terms(cfg, model)
+    log_mass_rev = _log_mass(proposal.sites, log_weights_rev, z_rev, cfg.mask_mode)
     log_plm_rev = float(log_cond_rev[proposal.sites, proposal.reference_tokens].sum())
     ratio = (
         -cfg.beta * (proposal.energy - state.energy)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Rng, one_hot, softmax_rows
+from .core import Rng, RowSoftmax, one_hot, softmax_rows
 from .energy import EnergyModel, _softmax_row_backprop
 from .textio import read_blocks, write_blocks
 
@@ -169,7 +169,13 @@ class SoftPlmEnergy(EnergyModel):
     logits. The analytic gradient propagates through both pathways: the
     outer expectation over q_i and the dependence of every conditional on
     the other sites' expected embeddings.
+
+    On shared ``rows`` it leaves its log-conditionals, the tempered masked
+    table p_i(.|q; tau) in log space, under the key ``(model, tau)``: the
+    bits ``model.log_conditionals_from_logits(logits, tau)`` gives.
     """
+
+    reads_rows = True
 
     def __init__(self, model: MaskedSequenceModel, tau: float):
         if tau <= 0:
@@ -181,12 +187,15 @@ class SoftPlmEnergy(EnergyModel):
     def shape(self) -> tuple[int, int]:
         return self.model.shape
 
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         model, tau = self.model, self.tau
 
-        q = softmax_rows(logits)
+        q = softmax_rows(logits) if rows is None else rows.q
         raw, hidden = model._forward(q)
         log_p = _tempered_log_softmax(raw, tau)
+        if rows is not None:
+            rows.log_conditionals[model, tau] = log_p
         p = np.exp(log_p)
         value = float(-(q * log_p).sum())
 
@@ -290,15 +299,18 @@ def save_model(model: MaskedSequenceModel, path) -> None:
 
 def load_model(path) -> MaskedSequenceModel:
     """The model a file holds. Each block must have the shape its header's
-    L, K and d give, or a ValueError whose message starts with the path is
-    raised; non-finite weights fail in ``MaskedSequenceModel``."""
+    L, K and d give, and every weight must be finite (``MaskedSequenceModel``),
+    or a ValueError whose message starts with the path is raised."""
     _, blocks = read_blocks(path, {"L": int, "K": int, "d": int}, _BLOCKS)
     arrays = dict(blocks)
-    return MaskedSequenceModel(
-        embed=arrays["embed"],
-        mask_embed=arrays["mask"][0],
-        positional=arrays["positional"],
-        mix=arrays["mix"],
-        readout=arrays["readout"],
-        bias=arrays["bias"][0],
-    )
+    try:
+        return MaskedSequenceModel(
+            embed=arrays["embed"],
+            mask_embed=arrays["mask"][0],
+            positional=arrays["positional"],
+            mix=arrays["mix"],
+            readout=arrays["readout"],
+            bias=arrays["bias"][0],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -33,14 +33,16 @@ def write_text(path, text: str, comments=()) -> None:
 
 
 def write_blocks(path, comments, header: dict, blocks) -> None:
-    """Write ``(tag, rows)`` blocks; float header values get 17 digits."""
+    """Write ``(tag, rows)`` blocks of 2-D arrays; float header values get
+    17 digits. Values are formatted as Python numbers (``tolist``), which
+    give numpy scalars' text."""
     lines = [
         f"{key} {format(value, '.17g') if isinstance(value, float) else value}"
         for key, value in header.items()
     ]
     for tag, rows in blocks:
         lines.append(f"[{tag}]")
-        lines.extend(" ".join(format(v, ".17g") for v in row) for row in rows)
+        lines.extend(" ".join(format(v, ".17g") for v in row) for row in rows.tolist())
     write_text(path, "\n".join(lines) + "\n", comments)
 
 

@@ -234,7 +234,8 @@ class TestPinnedBytes:
     # K = 20, kappa 0.4), where Z(p) stays below 0.03 at every jump. Its
     # hashes were taken while masks with Z(p) >= 0.125 were still drawn by
     # rejection; they show that the size draw kept its bits on the chains
-    # that already took the direct draw.
+    # that already took the direct draw. Its snapshots.txt and sequences.txt
+    # hashes guard the text writer.
     CONFIG = """
 [run]
 seed = 23
@@ -309,6 +310,10 @@ width = 16
                 "70ae7ff1d245bd6080060d455fb8b6f196cd161347b50b18c12468a4b4c8ba95",
             "trace.csv":
                 "fec2a8020dc28bea2a941688ef9cc27ed56841756fe7026823b3b7a92d51e71b",
+            "snapshots.txt":
+                "a0ac9b282610c8a84727d504b497bac158afc69ce5b726e17fcccd80b2a42cbe",
+            "sequences.txt":
+                "e8f2c43045691615cd053882cd622adf524d131d262763f4a14ae6303a95b3a5",
         }),
     }
 
@@ -336,6 +341,19 @@ width = 16
     def test_direct_draw_run(self, tmp_path):
         summary = self.run_case(tmp_path, "direct")
         assert summary["jump_proposals"] > 0 and summary["jump_accepts"] > 0
+
+    def test_direct_run_forwards_once_per_evaluation(self, tmp_path, monkeypatch):
+        # the prior runs at the chain's tau, so a jump reads the masked-model
+        # log-conditionals of each state's counted evaluation
+        forwards = [0]
+        original = MaskedSequenceModel._forward
+
+        def counted(model, q):
+            forwards[0] += 1
+            return original(model, q)
+        monkeypatch.setattr(MaskedSequenceModel, "_forward", counted)
+        summary = self.run_case(tmp_path, "direct")
+        assert forwards[0] == summary["energy_evaluations"] == 301
 
     # "bench": a two-seed rss/rso campaign on the same planted 6 x 4
     # landscape. It pins the designable counts, the clusters and every
@@ -837,7 +855,8 @@ class TestConfigErrors:
         lines[row] = " ".join(["nan"] + lines[row].split()[1:])
         model_file.write_text("\n".join(lines) + "\n")
         text = RUN_CONFIG.format(steps=5).replace("[model]\n", f"[model]\nfile = {model_file}\n")
-        self.check_rejected(tmp_path, capsys, "run", text, "model weights must be finite")
+        self.check_rejected(tmp_path, capsys, "run", text,
+                            f"{model_file}: model weights must be finite")
 
     # values the validation suite, calibration, planting or a chain's start
     # reject: each used to exit 1, some after writing files
@@ -900,8 +919,8 @@ class TestConfigErrors:
         ("1 3 3 3 1 1\n", "3 3 2 1 0 1\n", "modes 0 and 2 are Hamming 0 apart, not >= 2"),
         ("1 3 3 3 1 1\n", "3 3 2 1 0 0\n", "modes 0 and 2 are Hamming 1 apart, not >= 2"),
         ("1 3 3 3 1 1\n", "0 1 2 3 0 1\n",
-         "the modes fail certification: each must be a strict Hamming-1 minimum, at least "
-         "depth below the median energy and below the 0.05 quantile"),
+         "mode 2 is not a strict Hamming-1 minimum: site 0 set to token 1 gives energy "
+         "-1.6973510037326007 <= the mode's -1.015779287089813"),
         ("3 3 2 1 0 1\n1 0 0 3 2 0\n1 3 3 3 1 1\n", "3 3 2 1 0\n1 0 0 3 2\n1 3 3 3 1\n",
          "block [modes] is 3 x 5, not modes x L = 3 x 6"),
         ("L 6\n", "L 9\n", "block [fields] is 6 x 4, not L x K = 9 x 4"),

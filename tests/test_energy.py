@@ -10,6 +10,7 @@ import rss.energy as energy_module
 from rss.core import Rng, finite_diff_gradient, one_hot, row_marginals
 from rss.energy import (
     CURVE_QUANTILES,
+    CertificationError,
     CompositeEnergy,
     CountingEnergy,
     GaussianEnergy,
@@ -381,7 +382,7 @@ class TestPlantedLandscape:
             for mode in modes:
                 e_mode = table[sequence_index(mode, vocab)]
                 if not (e_mode <= median - depth and e_mode < threshold):
-                    return None
+                    raise CertificationError("too shallow")
                 for i in range(length):
                     for tok in range(vocab):
                         if tok == mode[i]:
@@ -389,7 +390,7 @@ class TestPlantedLandscape:
                         neighbor = mode.copy()
                         neighbor[i] = tok
                         if table[sequence_index(neighbor, vocab)] <= e_mode:
-                            return None
+                            raise CertificationError("not a minimum")
             return PlantedLandscape(energy, modes, seed, depth, median,
                                     tuple(float(np.quantile(table, q)) for q in CURVE_QUANTILES))
 
@@ -412,6 +413,19 @@ class TestPlantedLandscape:
         assert fresh == outcomes()
         assert any(isinstance(r, str) for r in fresh)
         assert any(isinstance(r, tuple) for r in fresh)
+
+    def test_mode_above_the_designable_threshold_is_named(self):
+        # 000 is a strict Hamming-1 minimum at energy 0, at least depth below
+        # the median, but the 11x valley holds the lowest 5% of the sequences
+        fields = np.array([[0.0, 1.0, 1.0]] * 3)
+        coupling = np.zeros((3, 3))
+        coupling[1, 1] = -5.0
+        energy = PairwiseContactEnergy([(0, 1, coupling)], fields)
+        threshold = float(np.quantile(enumerate_discrete_energies(energy), 0.05))
+        with pytest.raises(CertificationError) as info:
+            energy_module._certified(energy, np.zeros((1, 3), dtype=np.int64), 0, 0.5)
+        assert str(info.value) == (
+            f"mode 0 has energy 0.0, not below the 0.05 quantile {threshold!r}")
 
     def test_generation_failure_raises(self):
         # more modes than sequences with pairwise Hamming >= 2 can exist
@@ -451,9 +465,12 @@ class TestPlantedLandscape:
         ("depth 1.5\n", "depth -50\n", "depth must be positive"),
         ("2 1 1 0\n", "1 0 0 2\n", "modes 0 and 1 are Hamming 0 apart, not >= 2"),
         ("2 1 1 0\n", "1 0 0 0\n", "modes 0 and 1 are Hamming 1 apart, not >= 2"),
+        # a failed certificate used to give one sentence for every check
         ("2 1 1 0\n", "0 2 2 1\n",
-         "the modes fail certification: each must be a strict Hamming-1 minimum, at least "
-         "depth below the median energy and below the 0.05 quantile"),
+         "mode 1 is not a strict Hamming-1 minimum: site 0 set to token 2 gives energy "
+         "0.00439627783811565 <= the mode's 0.011157368981666693"),
+        ("depth 1.5\n", "depth 50\n",
+         "mode 0 has energy -2.791027427793472, above median - depth = -50.46308207813966"),
         ("1 0 0 2\n2 1 1 0\n", "1 0 0\n2 1 1\n",
          "block [modes] is 2 x 3, not modes x L = 2 x 4"),
         ("L 4\n", "L 9\n", "block [fields] is 4 x 3, not L x K = 9 x 3"),
@@ -467,8 +484,9 @@ class TestPlantedLandscape:
          "block [contact 1 0] repeats the contact of sites 0 and 1"),
     ], ids=["no-depth", "depth-word", "no-seed", "fractional-seed", "fractional-mode",
             "nan-mode", "negative-depth", "repeated-mode", "modes-one-apart",
-            "not-a-minimum", "short-mode-rows", "header-L", "header-K", "header-contacts",
-            "contact-one-site", "contact-out-of-range", "repeated-contact-pair"])
+            "not-a-minimum", "too-shallow", "short-mode-rows", "header-L", "header-K",
+            "header-contacts", "contact-one-site", "contact-out-of-range",
+            "repeated-contact-pair"])
     def test_malformed_file_names_file_and_problem(self, tmp_path, old, new, message):
         path = tmp_path / "landscape.txt"
         save_landscape(planted_landscape(4, 3, 2, 1.5, Rng(26)), path)

@@ -9,7 +9,13 @@ from scipy import stats
 
 import rss.sampler
 from rss.core import Rng
-from rss.energy import CompositeEnergy, GaussianEnergy, PairwiseContactEnergy
+from rss.bench import compose_energy
+from rss.energy import (
+    CompositeEnergy,
+    GaussianEnergy,
+    PairwiseContactEnergy,
+    TargetProfileEnergy,
+)
 from rss.sampler import (
     ChainState,
     JumpProposal,
@@ -447,8 +453,8 @@ class TestJumpTerms:
         jump_accept(reused, first, cfg, model)
 
         # the two keys give different terms, so stale terms would show
-        _, _, z, log_cond = reused.jump_terms(cfg, model)
-        _, _, z2, log_cond2 = fresh.jump_terms(other, other_model)
+        _, _, _, z, log_cond = reused.jump_terms(cfg, model)
+        _, _, _, z2, log_cond2 = fresh.jump_terms(other, other_model)
         assert z != z2 or not np.array_equal(log_cond, log_cond2)
 
         again = jump_propose(reused, other, gaussian, other_model, Rng(67))
@@ -461,6 +467,42 @@ class TestJumpTerms:
         jump_accept(reused, again, cfg, model)
         assert (jump_accept(reused, again, other, other_model)
                 == jump_accept(fresh, expected, other, other_model))
+
+    # the jump reads the log-conditionals a state's evaluation kept only
+    # when the energy's prior is the jump's model at cfg.tau; a chain
+    # without a prior term or with one at another tau runs its own forward
+    @pytest.mark.parametrize("lam, prior_tau, own_forwards", [
+        (0.1, 1.3, False), (0.0, 1.3, True), (0.1, 1.0, True),
+    ], ids=["same-tau", "lam-zero", "other-tau"])
+    def test_jump_reuses_only_its_own_model_at_its_tau(self, monkeypatch, lam, prior_tau,
+                                                         own_forwards):
+        length, vocab, steps = 8, 5, 120
+        model8 = MaskedSequenceModel.random(length, vocab, 8, Rng(72))
+        targets = np.abs(Rng(73).normal((length, vocab))) + 0.1
+        base = TargetProfileEnergy(targets / targets.sum(axis=1, keepdims=True))
+        energy = compose_energy(base, 2.0, model8, lam, prior_tau)
+        cfg = SamplerConfig(beta=1.0, eta=0.1, p_jump=1.0, gamma=1.0, tau=1.3, steps=steps)
+        logits0 = Rng(74).normal((length, vocab))
+
+        # bit-equal to a fresh forward at every state the chain visits
+        state, rng = ChainState.initialize(logits0, energy), Rng(75)
+        for _ in range(steps):
+            state, _ = step(state, cfg, energy, model8, rng)
+            np.testing.assert_array_equal(state.jump_terms(cfg, model8)[-1],
+                                          model8.log_conditionals_from_logits(state.logits,
+                                                                              cfg.tau))
+
+        counts = {"_forward": 0, "log_conditionals_from_logits": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(MaskedSequenceModel, name)):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(MaskedSequenceModel, name, counted)
+        summary = run_chain(logits0, cfg, energy, model=model8, rng=Rng(75))
+        assert summary.moves("jump")[0] == steps
+        own = steps + 1 if own_forwards else 0  # each state priced once, as above
+        prior_forwards = summary.energy_evaluations if lam > 0 else 0
+        assert counts == {"_forward": prior_forwards + own, "log_conditionals_from_logits": own}
 
     @pytest.mark.parametrize("p_jump", [0.0, 1.0])
     def test_accepted_proposal_is_the_next_state(self, gaussian, model, monkeypatch, p_jump):
