@@ -47,6 +47,7 @@ from .softplm import (
 from .sampler import (
     ChainState,
     ChainSummary,
+    MaskLaw,
     MaskSamplingError,
     MoveRecord,
     SamplerConfig,

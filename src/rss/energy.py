@@ -350,8 +350,8 @@ def planted_landscape(
     is returned once it meets the certification contract (``_certified``,
     which raises ValueError on ``depth <= 0`` or ``K^L > MAX_ENUMERATION``).
     A draw whose modes fail (CertificationError) is redrawn,
-    ``PLANT_RETRIES`` times at most, before LandscapeGenerationError is
-    raised. This function checks only what it
+    ``PLANT_RETRIES`` times at most, before LandscapeGenerationError, which
+    names the last failure, is raised. This function checks only what it
     needs to draw: the mode count and ``length >= 2``.
 
     Construction plants attractive couplings between mode tokens on every
@@ -386,12 +386,12 @@ def planted_landscape(
 
         try:
             return _certified(energy, modes, seed, depth)
-        except CertificationError:
-            continue
+        except CertificationError as exc:
+            reason = exc
 
     raise LandscapeGenerationError(
         f"landscape checks failed after {PLANT_RETRIES} attempts "
-        f"(L={length}, K={vocab}, modes={n_modes}, depth={depth})"
+        f"(L={length}, K={vocab}, modes={n_modes}, depth={depth}); last failure: {reason}"
     )
 
 

@@ -40,7 +40,7 @@ class SamplerConfig:
     mask_mode selects how the mask-selection mass enters acceptance:
     ``paper`` uses the raw Bernoulli product; ``exact`` (default) divides by
     Z(p) = P(1 <= |S| <= s_max), because the mask is drawn from the Bernoulli
-    product conditioned on 1 <= |S| <= s_max (see ``sample_mask``), and is
+    product conditioned on 1 <= |S| <= s_max (see ``MaskLaw``), and is
     required for exact reversibility.
     """
 
@@ -109,20 +109,18 @@ class ChainState:
         return cls(logits=logits, energy=value, gradient=grad, log_conditionals=kept)
 
     def jump_terms(self, cfg: SamplerConfig, model: MaskedSequenceModel) -> tuple:
-        """(probs, log_weights, table, z, log_cond): the state's mask
-        probabilities, their floored logs (``_log_weights``), their size
-        table and Z(p), and its masked-model log-conditionals at cfg.tau,
-        computed once per key (kappa, s_max, tau, model). The log-conditionals
-        are those the state's evaluation kept under ``(model, cfg.tau)``, the
-        same bits, or else come from a forward of their own."""
+        """(law, log_cond): the state's ``MaskLaw`` and its masked-model
+        log-conditionals at cfg.tau, computed once per key (kappa, s_max,
+        tau, model). The log-conditionals are those the state's evaluation
+        kept under ``(model, cfg.tau)``, the same bits, or else come from a
+        forward of their own."""
         key = (cfg.kappa, cfg.s_max, cfg.tau, model)
         if self._jump[0] != key:
-            probs = mask_probabilities(self.gradient, cfg.kappa)
+            law = MaskLaw(mask_probabilities(self.gradient, cfg.kappa), cfg.s_max)
             log_cond = self.log_conditionals.get((model, cfg.tau))
             if log_cond is None:
                 log_cond = model.log_conditionals_from_logits(self.logits, cfg.tau)
-            self._jump = key, (probs, _log_weights(probs), *_size_table(probs, cfg.s_max),
-                               log_cond)
+            self._jump = key, (law, log_cond)
         return self._jump[1]
 
 
@@ -213,106 +211,98 @@ def mask_probabilities(gradient: np.ndarray, kappa: float) -> np.ndarray:
     return np.minimum(1.0, kappa * norms / (top + MASK_EPSILON))
 
 
-def _size_table(probs: np.ndarray, s_max: int) -> tuple[list[list[float]], float]:
-    # table[i][k] = P(exactly k of sites 0..i-1 are picked) for k <= s_max;
-    # trajectories exceeding s_max are dropped (they can never return).
-    # Plain floats, O(L * s_max): each row is a copy of the last, updated
-    # from its top entry down. Returns the table and Z(p).
-    cap = min(s_max, probs.size)
-    row = [1.0] + [0.0] * cap
-    table = [row]
-    downward = range(cap, 0, -1)
-    for p in probs.tolist():
-        q = 1.0 - p
-        row = row.copy()
-        for k in downward:
-            row[k] = row[k] * q + row[k - 1] * p
-        row[0] *= q
-        table.append(row)
-    return table, float(np.sum(row[1:]))
+class MaskLaw:
+    """The jump's site-mask law at one state: the Bernoulli product over the
+    sites' probabilities ``probs`` (``mask_probabilities``), conditioned on
+    1 <= |S| <= s_max. The constructor computes the floored ``log p`` and
+    ``log(1 - p)``, the size table and Z(p) = P(1 <= |S| <= s_max) once, for
+    ``draw`` and ``log_mass``; each raises MaskSamplingError if it needs Z(p)
+    and Z(p) = 0. ``table[i][k]`` = P(exactly k of sites 0..i-1 are picked),
+    k <= s_max, in plain floats, O(L * s_max): each row is a copy of the last,
+    updated from its top entry down (sets beyond s_max are dropped).
+    """
+
+    def __init__(self, probs: np.ndarray, s_max: int):
+        self.probs = np.asarray(probs, dtype=np.float64)
+        self.s_max = s_max
+        self.log_in = np.log(np.maximum(self.probs, LOG_FLOOR))
+        self.log_out = np.log(np.maximum(1.0 - self.probs, LOG_FLOOR))
+        cap = min(s_max, self.probs.size)
+        row = [1.0] + [0.0] * cap
+        self.table = [row]
+        downward = range(cap, 0, -1)
+        for p in self.probs.tolist():
+            q = 1.0 - p
+            row = row.copy()
+            for k in downward:
+                row[k] = row[k] * q + row[k - 1] * p
+            row[0] *= q
+            self.table.append(row)
+        self.z = float(np.sum(row[1:]))
+
+    def _require_mask(self) -> None:
+        if self.z <= 0.0:
+            raise MaskSamplingError(f"no mask with 1 <= |S| <= {self.s_max} has positive "
+                                    f"probability (sum p = {self.probs.sum():.3g})")
+
+    def log_mass(self, sites: np.ndarray, mask_mode: str) -> float:
+        """log mass of a site set under ``mask_mode``, the one pricing rule.
+
+        ``paper``: raw product prod p_i^{i in S} (1-p_i)^{i not in S}.
+        ``exact``: raw product minus log Z(p), the probability of S under
+        this law. ``SamplerConfig`` is where a mode name is checked.
+        """
+        member = np.zeros(self.probs.size, dtype=bool)
+        member[np.asarray(sites, dtype=np.int64)] = True
+        raw = float(np.where(member, self.log_in, self.log_out).sum())
+        if mask_mode == "paper":
+            return raw
+        self._require_mask()
+        return raw - float(np.log(self.z))
+
+    def draw(self, rng: Rng, mask_mode: str) -> tuple[np.ndarray, float]:
+        """A site set and its ``log_mass`` under ``mask_mode``.
+
+        Conditional-Bernoulli sampling (Chen, Dempster & Liu 1994) from the
+        size table: |S| = k by inverse CDF over P(|S| = k), k = 1..s_max,
+        summed in index order; then sites from the last to the first, site i
+        taken with probability p_i P(k-1 among sites < i) / P(k among sites
+        <= i) while k remain to place. One uniform for the size and at most
+        one per site. Returns the sites sorted.
+        """
+        self._require_mask()
+        table = self.table
+        cdf = [table[-1][1]]
+        for mass in table[-1][2:]:
+            cdf.append(cdf[-1] + mass)
+        u = rng.uniform() * cdf[-1]
+        k = 1 + next((j for j, c in enumerate(cdf) if c > u), len(cdf) - 1)
+        picked = []
+        plist = self.probs.tolist()
+        for i in range(self.probs.size - 1, -1, -1):
+            if rng.uniform() * table[i + 1][k] < plist[i] * table[i][k - 1]:
+                picked.append(i)
+                k -= 1
+                if k == 0:
+                    break
+        sites = np.array(picked[::-1], dtype=np.int64)
+        return sites, self.log_mass(sites, mask_mode)
 
 
 def mask_normalizer(probs: np.ndarray, s_max: int) -> float:
     """Z(p) = P(1 <= |S| <= s_max) for independent Bernoulli site draws."""
-    return _size_table(np.asarray(probs, dtype=np.float64), s_max)[1]
+    return MaskLaw(probs, s_max).z
 
 
-def _log_weights(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (log p, log(1 - p)), each floored at LOG_FLOOR before the log
-    return np.log(np.maximum(probs, LOG_FLOOR)), np.log(np.maximum(1.0 - probs, LOG_FLOOR))
+def mask_log_mass(sites: np.ndarray, probs: np.ndarray, s_max: int, mask_mode: str) -> float:
+    """``MaskLaw(probs, s_max).log_mass(sites, mask_mode)``."""
+    return MaskLaw(probs, s_max).log_mass(sites, mask_mode)
 
 
-def _log_mass(sites: np.ndarray, log_weights: tuple, z: float | None, mask_mode: str) -> float:
-    # the one pricing rule of a site set, see mask_log_mass; log_weights
-    # from _log_weights, z = Z(p) or None
-    log_in, log_out = log_weights
-    member = np.zeros(log_in.size, dtype=bool)
-    member[np.asarray(sites, dtype=np.int64)] = True
-    raw = float(np.where(member, log_in, log_out).sum())
-    if mask_mode == "paper":
-        return raw
-    if z <= 0.0:
-        raise ValueError("mask normalizer Z(p) is zero; no valid mask exists")
-    return raw - float(np.log(z))
-
-
-def mask_log_mass(
-    sites: np.ndarray, probs: np.ndarray, s_max: int, mask_mode: str
-) -> float:
-    """log mass of a specific site set under the chosen accounting mode.
-
-    ``paper``: raw product prod p_i^{i in S} (1-p_i)^{i not in S}.
-    ``exact``: raw product minus log Z(p), the probability of S under the
-    Bernoulli product conditioned on 1 <= |S| <= s_max. ``SamplerConfig``
-    is where a mode name is checked.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    z = None if mask_mode == "paper" else mask_normalizer(probs, s_max)
-    return _log_mass(sites, _log_weights(probs), z, mask_mode)
-
-
-def _draw_mask(probs, log_weights, table, z, s_max, rng, mask_mode) -> tuple[np.ndarray, float]:
-    # sample_mask from the _log_weights, size table and Z(p) of probs
-    if z <= 0.0:
-        raise MaskSamplingError(
-            f"no mask with 1 <= |S| <= {s_max} has positive probability "
-            f"(sum p = {probs.sum():.3g})"
-        )
-    cdf = [table[-1][1]]
-    for mass in table[-1][2:]:
-        cdf.append(cdf[-1] + mass)
-    u = rng.uniform() * cdf[-1]
-    k = 1 + next((j for j, c in enumerate(cdf) if c > u), len(cdf) - 1)
-    picked = []
-    plist = probs.tolist()
-    for i in range(probs.size - 1, -1, -1):
-        if rng.uniform() * table[i + 1][k] < plist[i] * table[i][k - 1]:
-            picked.append(i)
-            k -= 1
-            if k == 0:
-                break
-    sites = np.array(picked[::-1], dtype=np.int64)
-    return sites, _log_mass(sites, log_weights, z, mask_mode)
-
-
-def sample_mask(
-    probs: np.ndarray, s_max: int, rng: Rng, mask_mode: str = "exact"
-) -> tuple[np.ndarray, float]:
-    """Draw a site set from the Bernoulli product conditioned on 1 <= |S| <= s_max.
-
-    Conditional-Bernoulli sampling (Chen, Dempster & Liu 1994) from the size
-    table: |S| = k by inverse CDF over P(|S| = k), k = 1..s_max, summed in
-    index order; then sites from the last to the first, site i taken with
-    probability p_i P(k-1 among sites < i) / P(k among sites <= i) while k
-    remain to place. One uniform for the size and at most one per site.
-    Raises MaskSamplingError only when Z(p) = 0.
-
-    Returns the sorted site indices and their log mass under ``mask_mode``
-    (see ``mask_log_mass``).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    return _draw_mask(probs, _log_weights(probs), *_size_table(probs, s_max), s_max, rng,
-                      mask_mode)
+def sample_mask(probs: np.ndarray, s_max: int, rng: Rng,
+                mask_mode: str = "exact") -> tuple[np.ndarray, float]:
+    """``MaskLaw(probs, s_max).draw(rng, mask_mode)``."""
+    return MaskLaw(probs, s_max).draw(rng, mask_mode)
 
 
 @dataclass
@@ -340,8 +330,8 @@ def jump_propose(
     A forward token is ``Rng.categorical``'s inverse-CDF draw on its site's
     conditional, whose rows are finite and positive by construction.
     """
-    probs, log_weights, table, z, log_cond = state.jump_terms(cfg, model)
-    sites, log_mass = _draw_mask(probs, log_weights, table, z, cfg.s_max, rng, cfg.mask_mode)
+    law, log_cond = state.jump_terms(cfg, model)
+    sites, log_mass = law.draw(rng, cfg.mask_mode)
 
     masked = log_cond[sites]
     cdfs = np.cumsum(np.exp(masked), axis=1)
@@ -384,8 +374,8 @@ def jump_accept(
     """
     if not proposal.finite:
         return -np.inf
-    _, log_weights_rev, _, z_rev, log_cond_rev = proposal.jump_terms(cfg, model)
-    log_mass_rev = _log_mass(proposal.sites, log_weights_rev, z_rev, cfg.mask_mode)
+    law_rev, log_cond_rev = proposal.jump_terms(cfg, model)
+    log_mass_rev = law_rev.log_mass(proposal.sites, cfg.mask_mode)
     log_plm_rev = float(log_cond_rev[proposal.sites, proposal.reference_tokens].sum())
     ratio = (
         -cfg.beta * (proposal.energy - state.energy)

@@ -22,7 +22,7 @@ import numpy as np
 from .core import (LOG_FLOOR, Rng, _js, as_logits, cross_entropy, kl_divergence, one_hot,
                    softmax_rows)
 from .energy import EnergyModel
-from .sampler import SamplerConfig, mask_log_mass, mask_probabilities
+from .sampler import MaskLaw, SamplerConfig, mask_probabilities
 from .softplm import MaskedSequenceModel, _tempered_log_softmax
 
 EPS_GRID_DEFAULT = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -392,9 +392,9 @@ def enumerate_jump_flow(
     P(mask) is the true mask law, computed here and not by the sampler: the
     Bernoulli product conditioned on 1 <= |S| <= s_max, log P(S) = sum_{i in S}
     o_i - log Z with log odds o_i = log p_i - log(1 - p_i) and Z summed over
-    every such set. alpha is the acceptance as the sampler computes it, with
-    ``mask_log_mass`` under cfg.mask_mode. In ``exact`` mode forward and reverse
-    flows agree; in ``paper`` mode their log ratio is log Z(p(b)) - log Z(p(a)).
+    every such set. alpha is the acceptance as the sampler computes it, one
+    ``MaskLaw`` per state pricing the site set under cfg.mask_mode. In ``exact``
+    mode the two flows agree; in ``paper`` their log ratio is log Z(p(b)) - log Z(p(a)).
 
     A pair that changes c sites has sum_e C(L - c, e) K^e realizations per
     direction, e <= s_max - c (433,341 for one site at L = 48, K = 20, s_max = 3).
@@ -410,8 +410,8 @@ def enumerate_jump_flow(
 
     e_a, g_a = energy.evaluate(a)
     e_b, g_b = energy.evaluate(b)
-    p_a = mask_probabilities(g_a, cfg.kappa)
-    p_b = mask_probabilities(g_b, cfg.kappa)
+    law_a = MaskLaw(mask_probabilities(g_a, cfg.kappa), cfg.s_max)
+    law_b = MaskLaw(mask_probabilities(g_b, cfg.kappa), cfg.s_max)
     log_cond_a = model.log_conditionals_from_logits(a, cfg.tau)
     log_cond_b = model.log_conditionals_from_logits(b, cfg.tau)
 
@@ -423,7 +423,8 @@ def enumerate_jump_flow(
         combos = list(itertools.combinations(pool, n))
         return np.array(combos, dtype=np.int64).reshape(len(combos), n)
 
-    def directional_terms(e_from, e_to, p_from, p_to, lc_from, lc_to, core_fwd, core_ref):
+    def directional_terms(e_from, e_to, law_from, law_to, lc_from, lc_to, core_fwd, core_ref):
+        p_from = law_from.probs
         odds = np.log(np.maximum(p_from, LOG_FLOOR)) - np.log(np.maximum(1.0 - p_from, LOG_FLOOR))
         sums = [odds[site_sets(range(length), n)].sum(axis=1) for n in range(1, cfg.s_max + 1)]
         log_z = _logsumexp(np.concatenate(sums))
@@ -441,8 +442,8 @@ def enumerate_jump_flow(
                 log_alpha = np.minimum(
                     0.0,
                     -cfg.beta * (e_to - e_from)
-                    + mask_log_mass(sites, p_to, cfg.s_max, cfg.mask_mode)
-                    - mask_log_mass(sites, p_from, cfg.s_max, cfg.mask_mode)
+                    + law_to.log_mass(sites, cfg.mask_mode)
+                    - law_from.log_mass(sites, cfg.mask_mode)
                     + lc_to[sites, ref].sum(axis=1)
                     - log_fwd,
                 )
@@ -451,8 +452,8 @@ def enumerate_jump_flow(
                              + log_alpha)
         return np.concatenate(terms)
 
-    forward = directional_terms(e_a, e_b, p_a, p_b, log_cond_a, log_cond_b, y_plus, y_minus)
-    reverse = directional_terms(e_b, e_a, p_b, p_a, log_cond_b, log_cond_a, y_minus, y_plus)
+    forward = directional_terms(e_a, e_b, law_a, law_b, log_cond_a, log_cond_b, y_plus, y_minus)
+    reverse = directional_terms(e_b, e_a, law_b, law_a, log_cond_b, log_cond_a, y_minus, y_plus)
     return JumpFlowResult(_logsumexp(forward), _logsumexp(reverse), reachable=True)
 
 

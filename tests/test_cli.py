@@ -230,6 +230,8 @@ class TestPinnedBytes:
     # means to move them must record the old and new hashes and the reason.
     # "mixture": both kernels, adapt_eta, burn-in ends inside the run.
     # "walk-only": p_jump = 0, so jump_acceptance is null.
+    # "paper": mostly jumps, priced by the raw Bernoulli product
+    # (mask_mode = paper), with s_max 2 and the masked model at tau 1.3.
     # "direct": the run-32x20 benchmark energy (target profile, L = 32,
     # K = 20, kappa 0.4), where Z(p) stays below 0.03 at every jump. Its
     # hashes were taken while masks with Z(p) >= 0.125 were still drawn by
@@ -305,6 +307,12 @@ width = 16
             "trace.csv":
                 "e3c6d47886439afa3779eb8212a75b33fc7b3236b9aba63d3b0467291498dba4",
         }),
+        "paper": (CONFIG.format(p_jump="0.6\ns_max = 2\nmask_mode = paper\ntau = 1.3"), {
+            "summary.json":
+                "746913510f1ca6a5a8f1891568a1b50dc210d909437e05b1487b477d506f89ff",
+            "trace.csv":
+                "ceac9863f227703bdecdc8d9f1b7619a5f6892fa9bfe021d6f432645b385bbe1",
+        }),
         "direct": (DIRECT_CONFIG, {
             "summary.json":
                 "70ae7ff1d245bd6080060d455fb8b6f196cd161347b50b18c12468a4b4c8ba95",
@@ -337,6 +345,11 @@ width = 16
         assert summary["jump_proposals"] == 0
         assert summary["jump_acceptance"] is None
         assert summary["min_energy_step"] > 0
+
+    def test_paper_mode_run(self, tmp_path):
+        summary = self.run_case(tmp_path, "paper")
+        assert summary["jump_proposals"] > summary["walk_proposals"]
+        assert summary["jump_accepts"] > 0
 
     def test_direct_draw_run(self, tmp_path):
         summary = self.run_case(tmp_path, "direct")

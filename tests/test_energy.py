@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -405,7 +406,8 @@ class TestPlantedLandscape:
                                         land.modes.tobytes(), land.median_energy,
                                         land.thresholds))
                     except LandscapeGenerationError as exc:
-                        results.append(str(exc))
+                        # the reference names its own reasons
+                        results.append(str(exc).partition("; last failure: ")[0])
             return results
 
         fresh = outcomes()
@@ -426,6 +428,16 @@ class TestPlantedLandscape:
             energy_module._certified(energy, np.zeros((1, 3), dtype=np.int64), 0, 0.5)
         assert str(info.value) == (
             f"mode 0 has energy 0.0, not below the 0.05 quantile {threshold!r}")
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3, 1.0), (3, 3, 4, 0.5)])
+    def test_generation_failure_names_the_last_reason(self, shape):
+        with pytest.raises(LandscapeGenerationError) as info:
+            planted_landscape(*shape, Rng(0))
+        assert re.fullmatch(
+            r"landscape checks failed after 50 attempts \(L=\d, K=\d, modes=\d, depth=[\d.]+\); "
+            r"last failure: mode \d+ (is not a strict Hamming-1 minimum|has energy \S+, "
+            r"above median - depth|has energy \S+, not below the 0.05 quantile).*",
+            str(info.value))
 
     def test_generation_failure_raises(self):
         # more modes than sequences with pairwise Hamming >= 2 can exist

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import rss.sampler
-from rss.core import Rng
+from rss.core import LOG_FLOOR, Rng
 from rss.bench import compose_energy
 from rss.energy import (
     CompositeEnergy,
@@ -255,6 +255,10 @@ class TestSampleMask:
             sample_mask(np.zeros(4), 4, rng, "exact")
         with pytest.raises(MaskSamplingError):
             sample_mask(np.ones(5), 3, rng, "exact")
+        # exact pricing needs Z(p) too; the raw product does not
+        with pytest.raises(MaskSamplingError):
+            mask_log_mass([0], np.zeros(4), 4, "exact")
+        assert mask_log_mass([0], np.zeros(4), 4, "paper") == math.log(LOG_FLOOR)
 
     def test_tiny_probabilities_draw_a_mask(self):
         # Z(p) is about 4e-12
@@ -453,9 +457,9 @@ class TestJumpTerms:
         jump_accept(reused, first, cfg, model)
 
         # the two keys give different terms, so stale terms would show
-        _, _, _, z, log_cond = reused.jump_terms(cfg, model)
-        _, _, _, z2, log_cond2 = fresh.jump_terms(other, other_model)
-        assert z != z2 or not np.array_equal(log_cond, log_cond2)
+        law, log_cond = reused.jump_terms(cfg, model)
+        law2, log_cond2 = fresh.jump_terms(other, other_model)
+        assert law.z != law2.z or not np.array_equal(log_cond, log_cond2)
 
         again = jump_propose(reused, other, gaussian, other_model, Rng(67))
         expected = jump_propose(fresh, other, gaussian, other_model, Rng(67))

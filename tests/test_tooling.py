@@ -179,5 +179,9 @@ def test_workflow_console_script_step(tmp_path):
     done = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
+    # the paper-mode pair ran under its settings and took jumps
+    resolved = (tmp_path / "paper-a" / "resolved.ini").read_text(encoding="utf-8")
+    assert {"mask_mode = paper", "s_max = 2", "tau = 1.3"} <= set(resolved.splitlines())
+    assert ",jump," in (tmp_path / "paper-a" / "trace.csv").read_text(encoding="utf-8")
     assert (tmp_path / "run-neg-depth.err").read_text(encoding="utf-8") == (
         f"config error: {tmp_path}/neg-depth.txt: depth must be positive\n")

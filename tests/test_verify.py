@@ -16,7 +16,8 @@ from rss.bench import compose_energy
 from rss.core import Rng, js_divergence, one_hot
 from rss.energy import (CompositeEnergy, GaussianEnergy, PairwiseContactEnergy,
                         TargetProfileEnergy)
-from rss.sampler import SamplerConfig, mask_log_mass, mask_normalizer, mask_probabilities
+from rss.sampler import (MaskLaw, SamplerConfig, mask_log_mass, mask_normalizer,
+                         mask_probabilities)
 from rss.softplm import MaskedSequenceModel, SoftPlmEnergy
 from rss.verify import (
     EPS_GRID_DEFAULT,
@@ -347,6 +348,24 @@ class TestEnumerateJumpFlow:
             assert abs(res.log_forward - brute_force_log_flow(energy, model, cfg, a, b)) < 1e-12
             assert abs(res.log_reverse - brute_force_log_flow(energy, model, cfg, b, a)) < 1e-12
 
+    def test_two_mask_laws_per_call(self, monkeypatch):
+        # one MaskLaw per state prices every site set of both directions
+        built = []
+
+        class CountedLaw(MaskLaw):
+            def __init__(self, probs, s_max):
+                built.append(s_max)
+                super().__init__(probs, s_max)
+
+        monkeypatch.setattr(rss.verify, "MaskLaw", CountedLaw)
+        energy, model, rng = build_jump_instance(90)
+        cfg = SamplerConfig(beta=0.8, eta=0.1, gamma=2.0, kappa=0.5, s_max=3)
+        for n_sites in (1, 2, 3):
+            built.clear()
+            a, b = random_swap_pair(rng, cfg, 3, 3, n_sites)
+            assert enumerate_jump_flow(energy, model, cfg, a, b).reachable
+            assert built == [3, 3]
+
     def test_unreachable_pair_flagged(self):
         energy, model, rng = build_jump_instance(86)
         cfg = SamplerConfig(beta=1.0, eta=0.1, gamma=2.0, s_max=2)
@@ -404,10 +423,12 @@ class TestJumpFlowAtRealisticSizes:
     def test_skewed_mask_mass_breaks_exact_balance(self, monkeypatch):
         # negative control: an acceptance whose mask mass carries a
         # state-dependent error must show up as a detailed-balance gap
-        def skewed(sites, probs, s_max, mask_mode):
-            return mask_log_mass(sites, probs, s_max, mask_mode) + 1e-6 * float(np.sum(probs))
+        original = MaskLaw.log_mass
 
-        monkeypatch.setattr(rss.verify, "mask_log_mass", skewed)
+        def skewed(law, sites, mask_mode):
+            return original(law, sites, mask_mode) + 1e-6 * float(np.sum(law.probs))
+
+        monkeypatch.setattr(MaskLaw, "log_mass", skewed)
         for n_sites in (1, 2):
             energy, model, a, b = build_realistic_pair(32, n_sites, 932 + n_sites)
             res = enumerate_jump_flow(energy, model, REALISTIC_CFG, a, b)
