@@ -100,22 +100,31 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 class RowSoftmax:
-    """The row softmax of one checked logit matrix, taken once for every
-    energy term of one evaluation that reads it (``EnergyModel.reads_rows``).
+    """The row softmax of one checked logit matrix, shared by every energy
+    term of one evaluation (``EnergyModel.evaluate(logits, rows)``).
 
     The parts are ``softmax_rows``' operations, so ``q`` has its bits:
     ``shifted`` (the logits less their row maxima), ``norm`` (the row sums
-    of ``exp(shifted)``) and ``q`` (the marginals). ``log_conditionals``
-    maps ``(model, tau)`` to the tempered masked-model log-conditionals a
-    prior term computed on ``q``, which the chain reuses for its jumps.
+    of ``exp(shifted)``) and ``q`` (the marginals). All three are computed
+    on the first read of any of them, so an evaluation whose terms read
+    none takes no softmax. ``log_conditionals`` maps ``(model, tau)`` to
+    the tempered masked-model log-conditionals a prior term computed on
+    ``q``, which the chain reuses for its jumps.
     """
 
     def __init__(self, logits: np.ndarray):
-        self.shifted = logits - logits.max(axis=1, keepdims=True)
+        self.logits = logits
+        self.log_conditionals = {}
+
+    def __getattr__(self, name: str):
+        # called only for an attribute not yet set: the parts, on first read
+        if name not in ("shifted", "norm", "q"):
+            raise AttributeError(name)
+        self.shifted = self.logits - self.logits.max(axis=1, keepdims=True)
         expd = np.exp(self.shifted)
         self.norm = expd.sum(axis=1, keepdims=True)
         self.q = expd / self.norm
-        self.log_conditionals = {}
+        return getattr(self, name)
 
 
 def row_marginals(logits) -> np.ndarray:

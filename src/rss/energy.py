@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, RowSoftmax, hamming_distance, softmax_rows
+from .core import Rng, RowSoftmax, hamming_distance
 from .textio import read_blocks, write_blocks
 
 
@@ -31,14 +31,13 @@ class EnergyModel(ABC):
     (``core.as_logits(logits, energy.shape)`` in ``ChainState.initialize``,
     ``run_rso`` and ``enumerate_jump_flow``).
 
-    An energy whose ``reads_rows`` is true takes a second argument,
-    ``rows``: the ``core.RowSoftmax`` of the same logits, shared with the
-    other terms of one evaluation, or None (the default), when it takes its
-    own. It reads the softmax from it, gives the same bits as without it,
-    and may leave there what the chain reuses (a prior's log-conditionals).
+    Every energy takes a second argument, ``rows``: the ``core.RowSoftmax``
+    of the same logits, shared with the other terms of one evaluation, or
+    None (the default). A term that reads the softmax reads it from
+    ``rows`` (``rows or RowSoftmax(logits)``) and gives the same bits
+    either way; it may leave there what the chain reuses (a prior's
+    log-conditionals). A term that reads no softmax ignores ``rows``.
     """
-
-    reads_rows = False
 
     @property
     @abstractmethod
@@ -46,7 +45,8 @@ class EnergyModel(ABC):
         """(L, K) this model acts on."""
 
     @abstractmethod
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         """Return (energy, gradient) at the given logit matrix."""
 
 
@@ -56,18 +56,12 @@ def _softmax_row_backprop(marginals: np.ndarray, dE_dq: np.ndarray) -> np.ndarra
     return marginals * (dE_dq - inner)
 
 
-def _evaluate_term(energy: EnergyModel, logits: np.ndarray,
-                   rows: RowSoftmax | None) -> tuple[float, np.ndarray]:
-    # ``rows`` go to a term that reads them, and to no other
-    return energy.evaluate(logits, rows) if energy.reads_rows else energy.evaluate(logits)
-
-
 class CompositeEnergy(EnergyModel):
     """Weighted sum of a structural term and a prior term.
 
     E = structural + lam * prior, gradients likewise; each component is
-    evaluated exactly once per call, on one row softmax of the logits
-    (``RowSoftmax``) when either reads it.
+    evaluated exactly once per call, both on one row softmax of the logits
+    (``RowSoftmax``).
     """
 
     def __init__(self, structural: EnergyModel, prior: EnergyModel, lam: float):
@@ -80,7 +74,6 @@ class CompositeEnergy(EnergyModel):
         self.structural = structural
         self.prior = prior
         self.lam = float(lam)
-        self.reads_rows = structural.reads_rows or prior.reads_rows
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,10 +81,9 @@ class CompositeEnergy(EnergyModel):
 
     def evaluate(self, logits: np.ndarray,
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
-        if rows is None and self.reads_rows:
-            rows = RowSoftmax(logits)
-        e_s, g_s = _evaluate_term(self.structural, logits, rows)
-        e_p, g_p = _evaluate_term(self.prior, logits, rows)
+        rows = rows or RowSoftmax(logits)
+        e_s, g_s = self.structural.evaluate(logits, rows)
+        e_p, g_p = self.prior.evaluate(logits, rows)
         return e_s + self.lam * e_p, g_s + self.lam * g_p
 
 
@@ -102,8 +94,6 @@ class TargetProfileEnergy(EnergyModel):
     matches its target. Gradient per row is simply q_i - target_i. Unimodal,
     used as a smoke-test structural surrogate.
     """
-
-    reads_rows = True
 
     def __init__(self, targets: np.ndarray):
         targets = np.asarray(targets, dtype=np.float64)
@@ -120,8 +110,7 @@ class TargetProfileEnergy(EnergyModel):
 
     def evaluate(self, logits: np.ndarray,
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
-        if rows is None:
-            rows = RowSoftmax(logits)
+        rows = rows or RowSoftmax(logits)
         # log q via the shifted logits avoids log(0) for saturated rows
         log_q = rows.shifted - np.log(rows.norm)
         value = float(-(self.targets * log_q).sum())
@@ -136,8 +125,6 @@ class PairwiseContactEnergy(EnergyModel):
     jump kernel exists to cross. Also exposes the induced discrete energy
     at exact one-hot marginals: E(x) = sum M_ij[x_i, x_j] + sum h_i[x_i].
     """
-
-    reads_rows = True
 
     def __init__(self, contacts, fields: np.ndarray):
         fields = np.asarray(fields, dtype=np.float64)
@@ -169,7 +156,7 @@ class PairwiseContactEnergy(EnergyModel):
 
     def evaluate(self, logits: np.ndarray,
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
-        q = softmax_rows(logits) if rows is None else rows.q
+        q = (rows or RowSoftmax(logits)).q
         value = float((q * self.fields).sum())
         dq = self.fields.copy()
         if self.couplings.shape[0]:
@@ -224,7 +211,8 @@ class GaussianEnergy(EnergyModel):
     def shape(self) -> tuple[int, int]:
         return self.center.shape
 
-    def evaluate(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, logits: np.ndarray,
+                 rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         diff = logits - self.center
         var = self.scale * self.scale
         return float((diff * diff).sum()) / (2.0 * var), diff / var
@@ -236,7 +224,6 @@ class CountingEnergy(EnergyModel):
     def __init__(self, inner: EnergyModel):
         self.inner = inner
         self.calls = 0
-        self.reads_rows = inner.reads_rows
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -245,7 +232,7 @@ class CountingEnergy(EnergyModel):
     def evaluate(self, logits: np.ndarray,
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         self.calls += 1
-        return _evaluate_term(self.inner, logits, rows)
+        return self.inner.evaluate(logits, rows)
 
 
 class LandscapeGenerationError(RuntimeError):

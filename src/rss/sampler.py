@@ -78,8 +78,6 @@ class SamplerConfig:
 def _evaluate(energy: EnergyModel, logits: np.ndarray) -> tuple[float, np.ndarray, dict]:
     # (value, gradient) and the log-conditionals a prior term kept on the
     # evaluation's row softmax, keyed (model, tau) (see RowSoftmax)
-    if not energy.reads_rows:
-        return (*energy.evaluate(logits), {})
     rows = RowSoftmax(logits)
     return (*energy.evaluate(logits, rows), rows.log_conditionals)
 
@@ -250,7 +248,8 @@ class MaskLaw:
 
         ``paper``: raw product prod p_i^{i in S} (1-p_i)^{i not in S}.
         ``exact``: raw product minus log Z(p), the probability of S under
-        this law. ``SamplerConfig`` is where a mode name is checked.
+        this law; -inf for a set the law never draws (|S| outside
+        [1, s_max]). ``SamplerConfig`` is where a mode name is checked.
         """
         member = np.zeros(self.probs.size, dtype=bool)
         member[np.asarray(sites, dtype=np.int64)] = True
@@ -258,6 +257,8 @@ class MaskLaw:
         if mask_mode == "paper":
             return raw
         self._require_mask()
+        if not 1 <= np.count_nonzero(member) <= self.s_max:
+            return -np.inf
         return raw - float(np.log(self.z))
 
     def draw(self, rng: Rng, mask_mode: str) -> tuple[np.ndarray, float]:

@@ -170,12 +170,10 @@ class SoftPlmEnergy(EnergyModel):
     outer expectation over q_i and the dependence of every conditional on
     the other sites' expected embeddings.
 
-    On shared ``rows`` it leaves its log-conditionals, the tempered masked
-    table p_i(.|q; tau) in log space, under the key ``(model, tau)``: the
-    bits ``model.log_conditionals_from_logits(logits, tau)`` gives.
+    It leaves its log-conditionals on ``rows``, the tempered masked table
+    p_i(.|q; tau) in log space, under the key ``(model, tau)``: the bits
+    ``model.log_conditionals_from_logits(logits, tau)`` gives.
     """
-
-    reads_rows = True
 
     def __init__(self, model: MaskedSequenceModel, tau: float):
         if tau <= 0:
@@ -191,11 +189,11 @@ class SoftPlmEnergy(EnergyModel):
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         model, tau = self.model, self.tau
 
-        q = softmax_rows(logits) if rows is None else rows.q
+        rows = rows or RowSoftmax(logits)
+        q = rows.q
         raw, hidden = model._forward(q)
         log_p = _tempered_log_softmax(raw, tau)
-        if rows is not None:
-            rows.log_conditionals[model, tau] = log_p
+        rows.log_conditionals[model, tau] = log_p
         p = np.exp(log_p)
         value = float(-(q * log_p).sum())
 

@@ -75,6 +75,8 @@ def read_blocks(path, header_kinds: dict, block_shapes: dict) -> tuple[dict, lis
                 key, *value = line.split(maxsplit=1)
                 if not value:
                     raise ValueError(f"{path}: header line {number} has no value: {line!r}")
+                if key in header:
+                    raise ValueError(f"{path}: header line {number} repeats {key!r}")
                 header[key] = value[0]
     for tag, rows in blocks:
         for number, row in enumerate(rows, 1):

@@ -232,6 +232,8 @@ class TestPinnedBytes:
     # "walk-only": p_jump = 0, so jump_acceptance is null.
     # "paper": mostly jumps, priced by the raw Bernoulli product
     # (mask_mode = paper), with s_max 2 and the masked model at tau 1.3.
+    # "gaussian": a Gaussian energy with its ridge and no prior (lambda 0),
+    # so no term reads the row softmax and every jump runs its own forward.
     # "direct": the run-32x20 benchmark energy (target profile, L = 32,
     # K = 20, kappa 0.4), where Z(p) stays below 0.03 at every jump. Its
     # hashes were taken while masks with Z(p) >= 0.125 were still drawn by
@@ -313,6 +315,13 @@ width = 16
             "trace.csv":
                 "ceac9863f227703bdecdc8d9f1b7619a5f6892fa9bfe021d6f432645b385bbe1",
         }),
+        "gaussian": (CONFIG.format(p_jump=0.3).replace("kind = planted", "kind = gaussian")
+                     .replace("lambda = 0.1", "lambda = 0"), {
+            "summary.json":
+                "87794f9d83bb2dac00c433f8b27733e974680e562d360ab986575ff3ab7ba0bd",
+            "trace.csv":
+                "15f16690685a6ae60790890afe0b271c9527124b8425843f4050e93245ff8401",
+        }),
         "direct": (DIRECT_CONFIG, {
             "summary.json":
                 "70ae7ff1d245bd6080060d455fb8b6f196cd161347b50b18c12468a4b4c8ba95",
@@ -335,6 +344,18 @@ width = 16
         assert got == pinned
         return json.loads((out / "summary.json").read_text())
 
+    @staticmethod
+    def count_forwards(monkeypatch):
+        """A one-element list that counts masked-model forwards."""
+        forwards = [0]
+        original = MaskedSequenceModel._forward
+
+        def counted(model, q):
+            forwards[0] += 1
+            return original(model, q)
+        monkeypatch.setattr(MaskedSequenceModel, "_forward", counted)
+        return forwards
+
     def test_mixture_run(self, tmp_path):
         summary = self.run_case(tmp_path, "mixture")
         assert summary["walk_proposals"] > 0 and summary["jump_proposals"] > 0
@@ -351,6 +372,14 @@ width = 16
         assert summary["jump_proposals"] > summary["walk_proposals"]
         assert summary["jump_accepts"] > 0
 
+    def test_gaussian_run_without_prior(self, tmp_path, monkeypatch):
+        # no evaluation keeps log-conditionals, so every jump forwards on its
+        # proposal, and on its current state unless an earlier jump did
+        forwards = self.count_forwards(monkeypatch)
+        summary = self.run_case(tmp_path, "gaussian")
+        assert summary["jump_proposals"] > 0 and summary["jump_accepts"] > 0
+        assert summary["jump_proposals"] < forwards[0] <= 2 * summary["jump_proposals"]
+
     def test_direct_draw_run(self, tmp_path):
         summary = self.run_case(tmp_path, "direct")
         assert summary["jump_proposals"] > 0 and summary["jump_accepts"] > 0
@@ -358,13 +387,7 @@ width = 16
     def test_direct_run_forwards_once_per_evaluation(self, tmp_path, monkeypatch):
         # the prior runs at the chain's tau, so a jump reads the masked-model
         # log-conditionals of each state's counted evaluation
-        forwards = [0]
-        original = MaskedSequenceModel._forward
-
-        def counted(model, q):
-            forwards[0] += 1
-            return original(model, q)
-        monkeypatch.setattr(MaskedSequenceModel, "_forward", counted)
+        forwards = self.count_forwards(monkeypatch)
         summary = self.run_case(tmp_path, "direct")
         assert forwards[0] == summary["energy_evaluations"] == 301
 
@@ -929,6 +952,7 @@ class TestConfigErrors:
         ("[modes]\n3 ", "[modes]\n3.4 ", "block [modes] holds 3.4, not a token in [0, 4)"),
         # each of these used to run, to exit 1, or to exit 2 naming no file
         ("depth 2\n", "depth -50\n", "depth must be positive"),
+        ("depth 2\n", "depth 2\ndepth 0.5\n", "header line 8 repeats 'depth'"),
         ("1 3 3 3 1 1\n", "3 3 2 1 0 1\n", "modes 0 and 2 are Hamming 0 apart, not >= 2"),
         ("1 3 3 3 1 1\n", "3 3 2 1 0 0\n", "modes 0 and 2 are Hamming 1 apart, not >= 2"),
         ("1 3 3 3 1 1\n", "0 1 2 3 0 1\n",
@@ -945,9 +969,9 @@ class TestConfigErrors:
          "contact (0, 9) out of range or self-coupling"),
         ("[contact 0 2]\n", "[contact 1 0]\n",
          "block [contact 1 0] repeats the contact of sites 0 and 1"),
-    ], ids=["no-depth", "fractional-mode", "negative-depth", "repeated-mode",
-            "modes-one-apart", "not-a-minimum", "short-mode-rows", "header-L", "header-K",
-            "header-contacts", "contact-one-site", "contact-out-of-range",
+    ], ids=["no-depth", "fractional-mode", "negative-depth", "repeated-depth",
+            "repeated-mode", "modes-one-apart", "not-a-minimum", "short-mode-rows", "header-L",
+            "header-K", "header-contacts", "contact-one-site", "contact-out-of-range",
             "repeated-contact-pair"])
     def test_malformed_landscape_file_exit_two(self, tmp_path, capsys, command, old, new,
                                                message):

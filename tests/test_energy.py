@@ -8,7 +8,7 @@ import pytest
 
 import rss.energy as energy_module
 
-from rss.core import Rng, finite_diff_gradient, one_hot, row_marginals
+from rss.core import Rng, RowSoftmax, finite_diff_gradient, one_hot, row_marginals
 from rss.energy import (
     CURVE_QUANTILES,
     CertificationError,
@@ -78,6 +78,46 @@ def test_gradient_check_all_models(models, name):
     assert worst < 1e-5, f"{name}: worst rel err {worst}"
 
 
+class TestSharedRows:
+    # every energy is evaluate(logits, rows=None); a shared RowSoftmax
+    # changes no bit, and a term that reads no softmax leaves it untaken
+    ENERGIES = ["target", "pairwise", "gaussian", "softplm", "composite", "counting"]
+
+    @staticmethod
+    def energy(models, name):
+        return CountingEnergy(models["composite"]) if name == "counting" else models[name]
+
+    @pytest.mark.parametrize("name", ENERGIES)
+    def test_shared_rows_give_the_same_bits(self, models, name):
+        energy = self.energy(models, name)
+        logits = Rng(300).normal((L, K))
+        value, grad = energy.evaluate(logits)
+        rows = RowSoftmax(logits)
+        shared_value, shared_grad = energy.evaluate(logits, rows)
+        assert value == shared_value
+        assert grad.tobytes() == shared_grad.tobytes()
+        assert rows.q.tobytes() == row_marginals(logits).tobytes()
+
+    @pytest.mark.parametrize("name", ["softplm", "composite", "counting"])
+    def test_prior_keeps_its_log_conditionals(self, models, name):
+        energy = self.energy(models, name)
+        model = models["softplm"].model
+        logits = Rng(301).normal((L, K))
+        rows = RowSoftmax(logits)
+        energy.evaluate(logits, rows)
+        kept = rows.log_conditionals[model, 0.7]
+        assert kept.tobytes() == model.log_conditionals_from_logits(logits, 0.7).tobytes()
+
+    def test_gaussian_terms_leave_the_rows_unread(self, models):
+        gaussian = models["gaussian"]
+        ridge = CompositeEnergy(gaussian, GaussianEnergy(np.zeros((L, K)), 2.5), 1.0)
+        logits = Rng(302).normal((L, K))
+        for energy in (gaussian, ridge, CountingEnergy(ridge)):
+            rows = RowSoftmax(logits)
+            energy.evaluate(logits, rows)
+            assert "q" not in vars(rows)
+
+
 class TestComposite:
     def test_lambda_zero_equals_structural(self, models):
         comp = CompositeEnergy(models["pairwise"], models["softplm"], 0.0)
@@ -89,7 +129,7 @@ class TestComposite:
 
     def test_zero_prior_identity(self, models):
         class ZeroEnergy(GaussianEnergy):
-            def evaluate(self, logits):
+            def evaluate(self, logits, rows=None):
                 return 0.0, np.zeros_like(logits)
 
         comp = CompositeEnergy(models["gaussian"], ZeroEnergy(np.zeros((L, K)), 1.0), 1.0)
@@ -475,6 +515,8 @@ class TestPlantedLandscape:
         ("[modes]\n1 ", "[modes]\nnan ", "block [modes] holds nan, not a token in [0, 3)"),
         # each of these used to load, or to fail naming no file or not as a ValueError
         ("depth 1.5\n", "depth -50\n", "depth must be positive"),
+        # the last of two depth lines used to win
+        ("depth 1.5\n", "depth 2\ndepth 0.5\n", "header line 8 repeats 'depth'"),
         ("2 1 1 0\n", "1 0 0 2\n", "modes 0 and 1 are Hamming 0 apart, not >= 2"),
         ("2 1 1 0\n", "1 0 0 0\n", "modes 0 and 1 are Hamming 1 apart, not >= 2"),
         # a failed certificate used to give one sentence for every check
@@ -495,7 +537,7 @@ class TestPlantedLandscape:
         ("[contact 0 2]\n", "[contact 1 0]\n",
          "block [contact 1 0] repeats the contact of sites 0 and 1"),
     ], ids=["no-depth", "depth-word", "no-seed", "fractional-seed", "fractional-mode",
-            "nan-mode", "negative-depth", "repeated-mode", "modes-one-apart",
+            "nan-mode", "negative-depth", "repeated-depth", "repeated-mode", "modes-one-apart",
             "not-a-minimum", "too-shallow", "short-mode-rows", "header-L", "header-K",
             "header-contacts", "contact-one-site", "contact-out-of-range",
             "repeated-contact-pair"])

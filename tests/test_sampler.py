@@ -54,7 +54,7 @@ def model():
 class FlatEnergy(GaussianEnergy):
     """Constant energy with zero gradient everywhere."""
 
-    def evaluate(self, logits):
+    def evaluate(self, logits, rows=None):
         return 1.25, np.zeros_like(logits)
 
 
@@ -106,7 +106,7 @@ class TestWalk:
     def test_non_finite_start_rejected(self):
         # a chain from such a state used to veto every proposal and run on
         class BrokenEnergy(GaussianEnergy):
-            def evaluate(self, logits):
+            def evaluate(self, logits, rows=None):
                 value, grad = super().evaluate(logits)
                 return (value, grad * np.nan) if self.scale == 1.0 else (np.inf, grad)
 
@@ -146,7 +146,7 @@ class TestWalk:
 
     def test_nonfinite_proposal_vetoed(self):
         class ExplodingEnergy(GaussianEnergy):
-            def evaluate(self, logits):
+            def evaluate(self, logits, rows=None):
                 value, grad = super().evaluate(logits)
                 if abs(value) > 10.0:
                     return float("inf"), grad
@@ -195,6 +195,22 @@ class TestSampleMask:
         p = np.array([0.5, 0.5])
         assert abs(mask_normalizer(p, 2) - 0.75) < 1e-12
         assert abs(mask_log_mass([0], p, 2, "exact") - math.log(0.25 / 0.75)) < 1e-12
+
+    def test_masses_sum_to_one_over_every_subset(self):
+        # exact mode gives a set the law never draws (|S| outside [1, s_max])
+        # no mass; paper mode prices every set by the raw product, whose
+        # masses over all subsets also sum to 1
+        p = np.array([0.3, 0.4, 0.5, 0.2])
+        subsets = [list(subset) for r in range(5)
+                   for subset in itertools.combinations(range(4), r)]
+        for s_max in (1, 2, 3, 4):
+            exact = [mask_log_mass(sites, p, s_max, "exact") for sites in subsets]
+            assert abs(math.fsum(map(math.exp, exact)) - 1.0) < 1e-12
+            for sites, log_mass in zip(subsets, exact):
+                assert (log_mass == -np.inf) == (not 1 <= len(sites) <= s_max)
+            paper = [mask_log_mass(sites, p, s_max, "paper") for sites in subsets]
+            assert abs(math.fsum(map(math.exp, paper)) - 1.0) < 1e-12
+        assert mask_log_mass([], p, 2, "paper") == float(np.log(1.0 - p).sum())
 
     def test_normalizer_matches_subset_enumeration(self):
         rng = Rng(8)
@@ -256,8 +272,9 @@ class TestSampleMask:
         with pytest.raises(MaskSamplingError):
             sample_mask(np.ones(5), 3, rng, "exact")
         # exact pricing needs Z(p) too; the raw product does not
-        with pytest.raises(MaskSamplingError):
-            mask_log_mass([0], np.zeros(4), 4, "exact")
+        for sites in ([0], []):
+            with pytest.raises(MaskSamplingError):
+                mask_log_mass(sites, np.zeros(4), 4, "exact")
         assert mask_log_mass([0], np.zeros(4), 4, "paper") == math.log(LOG_FLOOR)
 
     def test_tiny_probabilities_draw_a_mask(self):
@@ -577,7 +594,7 @@ class TestRunChain:
         class CountedEnergy(GaussianEnergy):
             calls = 0
 
-            def evaluate(self, logits):
+            def evaluate(self, logits, rows=None):
                 CountedEnergy.calls += 1
                 return super().evaluate(logits)
 

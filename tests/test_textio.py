@@ -175,6 +175,7 @@ def test_malformed_line_names_file_and_line(tmp_path, old, new, message):
     (MODEL, load_model, "[mix]\n0.5 0.25\n-1 7\n", "[mix]\n0.5 0.25\n",
      "block [mix] is 1 x 2, not d x d = 2 x 2"),
     (MODEL, load_model, "d 2\n", "", "header line 'd' is missing or not an integer"),
+    (MODEL, load_model, "d 2\n", "d 2\nd 3\n", "header line 5 repeats 'd'"),
     (MODEL, load_model, "[bias]\n", "[scale]\n", "unexpected block [scale]"),
     (SNAPSHOTS, load_snapshots, "[snapshot 50]\n", "[snapshot]\n",
      "block [snapshot] must name its step as one integer"),
@@ -183,7 +184,8 @@ def test_malformed_line_names_file_and_line(tmp_path, old, new, message):
     (SNAPSHOTS, load_snapshots, "L 2\n", "L 5\n",
      "block [snapshot 50] is 2 x 2, not L x K = 5 x 2"),
 ], ids=["empty-mask", "header-L", "two-row-bias", "short-mix", "no-width",
-        "unknown-block", "snapshot-without-step", "snapshot-word-step", "snapshot-header-L"])
+        "repeated-width", "unknown-block", "snapshot-without-step", "snapshot-word-step",
+        "snapshot-header-L"])
 def test_block_against_header_names_file(tmp_path, text, load, old, new, message):
     path = tmp_path / "file.txt"
     assert text.count(old) == 1
