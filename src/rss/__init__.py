@@ -16,9 +16,6 @@ from .core import (
     argmax_decode,
     cross_entropy,
     decode_to_letters,
-    entropy,
-    finite_diff_gradient,
-    js_divergence,
     kl_divergence,
     one_hot,
     row_marginals,
@@ -66,7 +63,6 @@ from .verify import (
     Library,
     ValidationReport,
     enumerate_jump_flow,
-    exact_mixture_reference,
     library_ranking,
     mixture_consistency,
     onehot_fidelity,

@@ -91,25 +91,17 @@ def as_logits(logits, shape: tuple[int, int] | None = None) -> np.ndarray:
     return arr
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Unchecked per-row softmax with max subtraction, for logits the
-    program has already checked or built itself."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
 class RowSoftmax:
-    """The row softmax of one checked logit matrix, shared by every energy
-    term of one evaluation (``EnergyModel.evaluate(logits, rows)``).
+    """The one row softmax of a checked logit matrix (``softmax_rows`` is
+    its ``q``), shared by every energy term of one evaluation
+    (``EnergyModel.evaluate(logits, rows)``) and kept by its chain state.
 
-    The parts are ``softmax_rows``' operations, so ``q`` has its bits:
     ``shifted`` (the logits less their row maxima), ``norm`` (the row sums
-    of ``exp(shifted)``) and ``q`` (the marginals). All three are computed
-    on the first read of any of them, so an evaluation whose terms read
-    none takes no softmax. ``log_conditionals`` maps ``(model, tau)`` to
-    the tempered masked-model log-conditionals a prior term computed on
-    ``q``, which the chain reuses for its jumps.
+    of ``exp(shifted)``) and ``q`` (the marginals) are computed on the first
+    read of any of them, so an evaluation whose terms read none takes no
+    softmax. ``log_conditionals`` maps ``(model, tau)`` to the tempered
+    masked-model log-conditionals a prior term computed on ``q``, which the
+    chain reuses for its jumps.
     """
 
     def __init__(self, logits: np.ndarray):
@@ -125,6 +117,12 @@ class RowSoftmax:
         self.norm = expd.sum(axis=1, keepdims=True)
         self.q = expd / self.norm
         return getattr(self, name)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """``RowSoftmax(logits).q``: unchecked, for logits the program has
+    already checked or built itself."""
+    return RowSoftmax(logits).q
 
 
 def row_marginals(logits) -> np.ndarray:
@@ -177,13 +175,6 @@ def cross_entropy(p, q) -> float:
     return float(-(p * np.log(np.maximum(q, LOG_FLOOR))).sum())
 
 
-def entropy(p) -> float:
-    """Shannon entropy in nats; 0 log 0 treated as 0."""
-    p = np.asarray(p, dtype=np.float64)
-    nz = p > 0
-    return float(-(p[nz] * np.log(p[nz])).sum())
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Unchecked KL(p || q) along the last axis; q floored at 1e-300, and
     p-zero terms contribute 0 (their log is taken at 1)."""
@@ -200,38 +191,6 @@ def _js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Unchecked Jensen-Shannon divergence along the last axis."""
     mid = 0.5 * (p + q)
     return 0.5 * _kl(p, mid) + 0.5 * _kl(q, mid)
-
-
-def js_divergence(p, q) -> float:
-    """Jensen-Shannon divergence (natural log, midpoint mixture); in [0, ln 2]."""
-    return float(_js(*_check_simplex_pair(p, q)))
-
-
-def finite_diff_gradient(fn, logits, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a logit matrix.
-
-    This is the independent oracle every analytic gradient in the package
-    is checked against. O(2*L*K) function evaluations.
-    """
-    base = as_logits(logits)
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    grad = np.empty_like(base)
-    work = base.copy()
-    for i in range(base.shape[0]):
-        for k in range(base.shape[1]):
-            orig = work[i, k]
-            work[i, k] = orig + h
-            f_plus = fn(work)
-            work[i, k] = orig - h
-            f_minus = fn(work)
-            work[i, k] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise ValueError(
-                    f"non-finite function value while differencing entry ({i}, {k})"
-                )
-            grad[i, k] = (f_plus - f_minus) / (2.0 * h)
-    return grad
 
 
 def decode_to_letters(tokens) -> str:

@@ -16,6 +16,7 @@ whose jump terms (``ChainState.jump_terms``) are computed once.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ from .textio import read_blocks, write_blocks
 
 MASK_MODES = ("paper", "exact")
 MASK_EPSILON = 1e-8     # stabilizer in mask_probabilities' denominator; not a setting
+_SCALE_BITS = 900       # a size-table row whose top entry is below 2**-900 is rescaled
+_SCALE_BELOW = 2.0 ** -_SCALE_BITS
 
 
 class MaskSamplingError(RuntimeError):
@@ -75,36 +78,38 @@ class SamplerConfig:
             raise ValueError("burn_in must be >= 0")
 
 
-def _evaluate(energy: EnergyModel, logits: np.ndarray) -> tuple[float, np.ndarray, dict]:
-    # (value, gradient) and the log-conditionals a prior term kept on the
-    # evaluation's row softmax, keyed (model, tau) (see RowSoftmax)
-    rows = RowSoftmax(logits)
-    return (*energy.evaluate(logits, rows), rows.log_conditionals)
-
-
 @dataclass
 class ChainState:
     """Current logits with their cached energy, gradient and jump terms.
 
-    ``log_conditionals`` holds what the state's evaluation kept: the
-    tempered masked-model log-conditionals of a prior term, keyed
-    ``(model, tau)``, which ``jump_terms`` reads instead of a forward.
+    ``evaluated`` builds every state the chain evaluates. The state keeps
+    its evaluation's row softmax, ``rows``, where ``jump_terms`` finds a
+    prior term's log-conditionals, and ``finite``: False vetoes it.
     """
 
     logits: np.ndarray
     energy: float
     gradient: np.ndarray
-    log_conditionals: dict = field(default_factory=dict, kw_only=True, repr=False,
-                                   compare=False)
+    finite: bool = field(default=True, kw_only=True)
+    rows: RowSoftmax | None = field(default=None, kw_only=True, repr=False, compare=False)
     _jump: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
+    def evaluated(cls, logits: np.ndarray, energy: EnergyModel, **fields) -> "ChainState":
+        """The state at finite ``logits`` after one evaluation of ``energy``,
+        in which overflow gives ``finite`` False, not a warning."""
+        rows = RowSoftmax(logits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = energy.evaluate(logits, rows)
+            finite = bool(np.isfinite(value) and np.all(np.isfinite(grad)))
+        return cls(logits, value, grad, finite=finite, rows=rows, **fields)
+
+    @classmethod
     def initialize(cls, logits, energy_model: EnergyModel) -> "ChainState":
-        logits = as_logits(logits, energy_model.shape)
-        value, grad, kept = _evaluate(energy_model, logits)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        state = cls.evaluated(as_logits(logits, energy_model.shape), energy_model)
+        if not state.finite:
             raise ValueError("the start state's energy or gradient is not finite")
-        return cls(logits=logits, energy=value, gradient=grad, log_conditionals=kept)
+        return state
 
     def jump_terms(self, cfg: SamplerConfig, model: MaskedSequenceModel) -> tuple:
         """(law, log_cond): the state's ``MaskLaw`` and its masked-model
@@ -115,7 +120,7 @@ class ChainState:
         key = (cfg.kappa, cfg.s_max, cfg.tau, model)
         if self._jump[0] != key:
             law = MaskLaw(mask_probabilities(self.gradient, cfg.kappa), cfg.s_max)
-            log_cond = self.log_conditionals.get((model, cfg.tau))
+            log_cond = self.rows and self.rows.log_conditionals.get((model, cfg.tau))
             if log_cond is None:
                 log_cond = model.log_conditionals_from_logits(self.logits, cfg.tau)
             self._jump = key, (law, log_cond)
@@ -144,9 +149,8 @@ def gaussian_log_density(x: np.ndarray, mean: np.ndarray, var: float) -> float:
 
 @dataclass
 class WalkProposal(ChainState):
-    log_q_forward: float
-    log_q_reverse: float
-    finite: bool = True
+    log_q_forward: float = np.nan
+    log_q_reverse: float = np.nan
 
 
 def walk_propose(
@@ -166,17 +170,13 @@ def walk_propose(
     proposed = mean_forward + np.sqrt(var) * noise
 
     if not np.all(np.isfinite(proposed)):
-        return WalkProposal(proposed, np.nan, np.full_like(state.logits, np.nan),
-                            np.nan, np.nan, finite=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, grad, kept = _evaluate(energy, proposed)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        return WalkProposal(proposed, value, grad, np.nan, np.nan, finite=False)
-
-    log_q_forward = gaussian_log_density(proposed, mean_forward, var)
-    log_q_reverse = gaussian_log_density(state.logits, proposed - cfg.eta * grad, var)
-    return WalkProposal(proposed, value, grad, log_q_forward, log_q_reverse,
-                        log_conditionals=kept)
+        return WalkProposal(proposed, np.nan, np.full_like(state.logits, np.nan), finite=False)
+    proposal = WalkProposal.evaluated(proposed, energy)
+    if proposal.finite:
+        proposal.log_q_forward = gaussian_log_density(proposed, mean_forward, var)
+        proposal.log_q_reverse = gaussian_log_density(
+            state.logits, proposed - cfg.eta * proposal.gradient, var)
+    return proposal
 
 
 def walk_accept(state: ChainState, proposal: WalkProposal, cfg: SamplerConfig) -> float:
@@ -213,11 +213,18 @@ class MaskLaw:
     """The jump's site-mask law at one state: the Bernoulli product over the
     sites' probabilities ``probs`` (``mask_probabilities``), conditioned on
     1 <= |S| <= s_max. The constructor computes the floored ``log p`` and
-    ``log(1 - p)``, the size table and Z(p) = P(1 <= |S| <= s_max) once, for
-    ``draw`` and ``log_mass``; each raises MaskSamplingError if it needs Z(p)
-    and Z(p) = 0. ``table[i][k]`` = P(exactly k of sites 0..i-1 are picked),
-    k <= s_max, in plain floats, O(L * s_max): each row is a copy of the last,
-    updated from its top entry down (sets beyond s_max are dropped).
+    ``log(1 - p)``, the size table, ``z`` and ``log_z`` = log Z(p), Z(p) =
+    P(1 <= |S| <= s_max), once, for ``draw`` and ``log_mass``; each raises
+    MaskSamplingError if it needs Z(p) and Z(p) = 0.
+
+    ``table[i][k] * 2**exponents[i]`` = P(exactly k of sites 0..i-1 are
+    picked), k <= s_max, in plain floats, O(L * s_max): each row is a copy
+    of the last, updated from its top entry down (sets beyond s_max are
+    dropped). A row whose largest entry falls below 2**-900 is multiplied
+    by 2**900, exactly, and its exponent lowered by 900, so no entry sinks
+    into subnormals and the law is right at every L; below Z(p) of about
+    1e-271 no row is rescaled. ``z`` is the last row's scaled sum, Z(p) =
+    z * 2**exponents[-1].
     """
 
     def __init__(self, probs: np.ndarray, s_max: int):
@@ -226,8 +233,8 @@ class MaskLaw:
         self.log_in = np.log(np.maximum(self.probs, LOG_FLOOR))
         self.log_out = np.log(np.maximum(1.0 - self.probs, LOG_FLOOR))
         cap = min(s_max, self.probs.size)
-        row = [1.0] + [0.0] * cap
-        self.table = [row]
+        row, exponent = [1.0] + [0.0] * cap, 0
+        self.table, self.exponents = [row], [exponent]
         downward = range(cap, 0, -1)
         for p in self.probs.tolist():
             q = 1.0 - p
@@ -235,8 +242,14 @@ class MaskLaw:
             for k in downward:
                 row[k] = row[k] * q + row[k - 1] * p
             row[0] *= q
+            if row[0] < _SCALE_BELOW and 0.0 < max(row) < _SCALE_BELOW:  # max(row) >= row[0]
+                row = [math.ldexp(v, _SCALE_BITS) for v in row]
+                exponent -= _SCALE_BITS
             self.table.append(row)
+            self.exponents.append(exponent)
         self.z = float(np.sum(row[1:]))
+        self.log_z = (float(np.log(self.z)) + exponent * math.log(2.0) if self.z > 0.0
+                      else -np.inf)
 
     def _require_mask(self) -> None:
         if self.z <= 0.0:
@@ -259,7 +272,7 @@ class MaskLaw:
         self._require_mask()
         if not 1 <= np.count_nonzero(member) <= self.s_max:
             return -np.inf
-        return raw - float(np.log(self.z))
+        return raw - self.log_z
 
     def draw(self, rng: Rng, mask_mode: str) -> tuple[np.ndarray, float]:
         """A site set and its ``log_mass`` under ``mask_mode``.
@@ -272,7 +285,7 @@ class MaskLaw:
         one per site. Returns the sites sorted.
         """
         self._require_mask()
-        table = self.table
+        table, exponents = self.table, self.exponents
         cdf = [table[-1][1]]
         for mass in table[-1][2:]:
             cdf.append(cdf[-1] + mass)
@@ -281,7 +294,9 @@ class MaskLaw:
         picked = []
         plist = self.probs.tolist()
         for i in range(self.probs.size - 1, -1, -1):
-            if rng.uniform() * table[i + 1][k] < plist[i] * table[i][k - 1]:
+            # rows i and i + 1 lined up on row i + 1's exponent
+            below = math.ldexp(table[i][k - 1], exponents[i] - exponents[i + 1])
+            if rng.uniform() * table[i + 1][k] < plist[i] * below:
                 picked.append(i)
                 k -= 1
                 if k == 0:
@@ -291,8 +306,10 @@ class MaskLaw:
 
 
 def mask_normalizer(probs: np.ndarray, s_max: int) -> float:
-    """Z(p) = P(1 <= |S| <= s_max) for independent Bernoulli site draws."""
-    return MaskLaw(probs, s_max).z
+    """Z(p) = P(1 <= |S| <= s_max) for independent Bernoulli site draws
+    (0.0 where it underflows; ``MaskLaw`` keeps it in scaled form)."""
+    law = MaskLaw(probs, s_max)
+    return math.ldexp(law.z, law.exponents[-1])
 
 
 def mask_log_mass(sites: np.ndarray, probs: np.ndarray, s_max: int, mask_mode: str) -> float:
@@ -313,7 +330,6 @@ class JumpProposal(ChainState):
     reference_tokens: np.ndarray
     log_mass_forward: float
     log_plm_forward: float
-    finite: bool = True
 
 
 def jump_propose(
@@ -352,12 +368,9 @@ def jump_propose(
     proposed[sites[swapped], forward[swapped]] += cfg.gamma
     proposed[sites[swapped], reference[swapped]] -= cfg.gamma
 
-    value, grad, kept = _evaluate(energy, proposed)
-    finite = bool(np.isfinite(value) and np.all(np.isfinite(grad)))
-    return JumpProposal(
-        proposed, value, grad, sites, forward, reference, log_mass, log_plm,
-        finite=finite, log_conditionals=kept,
-    )
+    return JumpProposal.evaluated(proposed, energy, sites=sites, forward_tokens=forward,
+                                  reference_tokens=reference, log_mass_forward=log_mass,
+                                  log_plm_forward=log_plm)
 
 
 def jump_accept(

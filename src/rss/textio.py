@@ -64,6 +64,9 @@ def read_blocks(path, header_kinds: dict, block_shapes: dict) -> tuple[dict, lis
             if not line or raw.startswith("#"):
                 continue
             if line.startswith("["):
+                if not line.endswith("]"):
+                    raise ValueError(f"{path}: line {number} opens a block tag without "
+                                     f"closing it: {line!r}")
                 blocks.append((line[1:-1], []))
             elif blocks:
                 try:

@@ -214,29 +214,6 @@ def mixture_consistency(
     return rows
 
 
-def exact_mixture_reference(
-    model: MaskedSequenceModel, tokens, blur_sites, eps: float, tau: float = 1.0
-) -> np.ndarray:
-    """Exact marginalization of discrete conditionals over blurred sites.
-
-    Enumerates every assignment of the blurred positions weighted by the
-    blurred marginals; feasible only for small vocab**len(blur_sites).
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    blur_sites = np.asarray(blur_sites, dtype=np.int64)
-    length, vocab = model.shape
-    marg = _blurred_marginals(tokens, blur_sites, eps, vocab)
-    reference = np.zeros((length, vocab))
-    for assignment in itertools.product(range(vocab), repeat=blur_sites.size):
-        weight = float(np.prod([marg[s, a] for s, a in zip(blur_sites, assignment)]))
-        if weight == 0.0:
-            continue
-        draw = tokens.copy()
-        draw[blur_sites] = assignment
-        reference += weight * model.conditionals_from_tokens(draw, tau)
-    return reference
-
-
 # --- library ranking ------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from rss.bench import CampaignConfig, run_campaign
 from rss.cli import main as cli_main
-from rss.core import Rng, finite_diff_gradient, js_divergence, one_hot, row_marginals
+from rss.core import Rng, one_hot, row_marginals
 from rss.energy import (
     CompositeEnergy,
     GaussianEnergy,
@@ -38,11 +38,12 @@ from rss.sampler import (
 from rss.softplm import MaskedSequenceModel, SoftPlmEnergy
 from rss.verify import (
     enumerate_jump_flow,
-    exact_mixture_reference,
     mixture_consistency,
     onehot_fidelity,
     random_sequences,
 )
+
+from oracles import exact_mixture_reference, finite_diff_gradient, js_divergence
 
 _CACHE: dict[int, tuple] = {}
 

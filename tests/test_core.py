@@ -9,13 +9,12 @@ from rss.core import (
     argmax_decode,
     cross_entropy,
     decode_to_letters,
-    entropy,
-    finite_diff_gradient,
-    js_divergence,
     kl_divergence,
     one_hot,
     row_marginals,
 )
+
+from oracles import entropy, finite_diff_gradient, js_divergence
 
 
 def random_simplex(rng, k):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rss.core import LOG_FLOOR, Rng
 from rss.bench import compose_energy
 from rss.energy import (
     CompositeEnergy,
+    CountingEnergy,
     GaussianEnergy,
     PairwiseContactEnergy,
     TargetProfileEnergy,
@@ -19,6 +21,7 @@ from rss.energy import (
 from rss.sampler import (
     ChainState,
     JumpProposal,
+    MaskLaw,
     MaskSamplingError,
     SamplerConfig,
     WalkProposal,
@@ -37,6 +40,8 @@ from rss.sampler import (
     walk_propose,
 )
 from rss.softplm import MaskedSequenceModel, SoftPlmEnergy
+
+from oracles import normalized_size_law, size_table
 
 L, K = 4, 5
 
@@ -163,6 +168,21 @@ class TestWalk:
                 vetoed += 1
                 assert walk_accept(state, proposal, cfg) == -np.inf
         assert vetoed > 0
+
+    def test_overflowing_logits_vetoed_before_evaluation(self, gaussian):
+        # logits - eta * gradient overflows at one entry: the walk vetoes the
+        # proposal without spending an evaluation on it
+        gradient = np.zeros((L, K))
+        gradient[1, 2] = 1e308
+        state = ChainState(np.zeros((L, K)), 0.0, gradient)
+        counting = CountingEnergy(gaussian)
+        cfg = SamplerConfig(beta=1.0, eta=2.0)
+        with np.errstate(over="ignore"):
+            proposal = walk_propose(state, cfg, counting, Rng(80))
+        assert not proposal.finite
+        assert not np.all(np.isfinite(proposal.logits))
+        assert walk_accept(state, proposal, cfg) == -np.inf
+        assert counting.calls == 0
 
 
 class TestMaskProbabilities:
@@ -424,6 +444,21 @@ class TestJump:
         )
         assert log_alpha == manual
 
+    def test_overflowing_energy_vetoed_without_warning(self, model):
+        # a swap of gamma = 1 on a Gaussian of scale 1e-160 overflows its
+        # energy and gradient; the jump vetoes the proposal as a walk does,
+        # and the overflow raises no RuntimeWarning
+        energy = GaussianEnergy(np.zeros((L, K)), 1e-160)
+        state = ChainState.initialize(np.zeros((L, K)), energy)
+        cfg = SamplerConfig(beta=1.0, eta=0.1, gamma=1.0, s_max=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proposal = jump_propose(state, cfg, energy, model, Rng(81))
+            log_alpha = jump_accept(state, proposal, cfg, model)
+        assert not np.array_equal(proposal.logits, state.logits)
+        assert not proposal.finite and proposal.energy == np.inf
+        assert log_alpha == -np.inf
+
 
 class TestJumpTerms:
     """A state computes its mask probabilities, size table, Z(p) and
@@ -543,6 +578,118 @@ class TestJumpTerms:
             outcomes.add(record.accepted)
             state = next_state
         assert outcomes == {True, False}
+
+
+def start_mask_probabilities(length: int) -> np.ndarray:
+    """kappa 0.5 mask probabilities at the start of an L x 20 chain on target
+    profile (seed 7) + ridge 2.5 + 0.1 x SoftPlm (width 16, seed 3), from
+    0.5 x N(0, 1) logits (seed 1001). Z(p) falls below 1e-300 from about
+    L = 1,830 on."""
+    raw = np.abs(Rng(7).normal((length, 20))) + 0.1
+    base = TargetProfileEnergy(raw / raw.sum(axis=1, keepdims=True))
+    model = MaskedSequenceModel.random(length, 20, 16, Rng(3))
+    energy = compose_energy(base, 2.5, model, 0.1, 1.0)
+    state = ChainState.initialize(0.5 * Rng(1001).normal((length, 20)), energy)
+    return mask_probabilities(state.gradient, 0.5)
+
+
+class TestScaledMaskLaw:
+    """The size table is kept in scaled form, so the mask law is right at
+    every L; where no row is rescaled it has the unscaled loop's bits."""
+
+    def test_table_bitwise_equals_unscaled_loop(self):
+        gen = np.random.default_rng(90)
+        undrawable = 0
+        for case in range(300):
+            length, s_max = int(gen.integers(1, 202)), int(gen.integers(1, 6))
+            p = gen.random(length) * gen.choice([1e-6, 1e-2, 0.2, 1.0])
+            if case % 10 == 0:  # no site can be picked, or more than s_max must be
+                p = np.zeros(length) if case % 20 == 0 else np.where(
+                    np.arange(length) <= s_max, 1.0, p)
+            law = MaskLaw(p, s_max)
+            table, z = size_table(p, s_max)
+            assert law.exponents == [0] * (length + 1)
+            assert np.array(law.table).tobytes() == np.array(table).tobytes()
+            assert law.z == z
+            assert law.log_z == (float(np.log(z)) if z > 0 else -np.inf)
+            undrawable += z == 0.0
+        assert undrawable >= 20
+
+    @pytest.mark.parametrize("length", [2560, 8192])
+    def test_log_z_and_size_law_at_long_lengths(self, length):
+        p = start_mask_probabilities(length)
+        law = MaskLaw(p, 3)
+        log_z, sizes = normalized_size_law(p, 3)
+        assert law.exponents[-1] < 0
+        assert abs(law.log_z - log_z) < 1e-10
+        np.testing.assert_allclose(np.array(law.table[-1][1:]) / law.z, sizes,
+                                   rtol=0, atol=1e-10)
+        sites = np.argsort(p)[-3:]
+        assert abs(law.log_mass(sites, "exact")
+                   - (law.log_mass(sites, "paper") - log_z)) < 1e-10
+        # the unscaled loop sinks into subnormals here and loses log Z
+        _, z = size_table(p, 3)
+        assert z == 0.0 or abs(math.log(z) - log_z) > 100
+
+    def test_draw_sizes_at_length_3072(self):
+        p = start_mask_probabilities(3072)
+        law = MaskLaw(p, 3)
+        _, sizes = normalized_size_law(p, 3)
+        n = 1000
+        counts = np.zeros(3)
+        rng = Rng(91)
+        for _ in range(n):
+            sites, log_mass = law.draw(rng, "exact")
+            assert np.isfinite(log_mass)
+            counts[sites.size - 1] += 1
+        # sizes 1 and 2 expect about 2 draws together, so they are pooled
+        obs = [counts[:2].sum(), counts[2]]
+        exp = [n * sizes[:2].sum(), n * sizes[2]]
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+    def test_draw_across_a_rescaled_row(self):
+        # sites all but sure to be picked (1 - p_i ~ 1e-16) take Z(p) to about
+        # 1e-334 at L = 24, so row 20 of the size table is rescaled and the
+        # draw lines its rows up across it; each set's frequency and log mass
+        # match the law priced set by set in log space
+        length, s_max, n = 24, 2, 10_000
+        q = np.tile([1.0, 2.0, 3.0, 4.0], 6) * 2.0 ** -52
+        p = 1.0 - q
+        law = MaskLaw(p, s_max)
+        assert law.exponents[20] < law.exponents[19] == 0
+        sets = [s for r in range(1, s_max + 1) for s in itertools.combinations(range(length), r)]
+        index = {s: i for i, s in enumerate(sets)}
+        raw = np.array([np.log(np.where(np.isin(np.arange(length), s), p, q)).sum()
+                        for s in sets])
+        log_z = np.logaddexp.reduce(raw)
+        assert abs(law.log_z - log_z) < 1e-10
+        counts = np.zeros(len(sets))
+        rng = Rng(96)
+        for _ in range(n):
+            sites, log_mass = law.draw(rng, "exact")
+            counts[index[tuple(sites.tolist())]] += 1
+            assert abs(log_mass - (raw[index[tuple(sites.tolist())]] - log_z)) < 1e-10
+        expected = n * np.exp(raw - log_z)
+        small = expected < 5  # the one-site sets, pooled
+        obs = np.append(counts[~small], counts[small].sum())
+        exp = np.append(expected[~small], expected[small].sum())
+        assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+    def test_chain_at_length_4096(self):
+        length = 4096
+        energy = GaussianEnergy(np.zeros((length, K)), 1.0)
+        model4096 = MaskedSequenceModel.random(length, K, 8, Rng(92))
+        cfg = SamplerConfig(beta=1.0, eta=0.05, p_jump=0.5, gamma=1.0, steps=200)
+        sink = io.StringIO()
+        summary = run_chain(Rng(93).normal((length, K)), cfg, energy, model=model4096,
+                            rng=Rng(94), trace=sink)
+        rows = [line.split(",") for line in sink.getvalue().strip().split("\n")[1:]]
+        jumps = [float(row[3]) for row in rows if row[1] == "jump"]
+        assert len(jumps) == summary.moves("jump")[0] > 50
+        assert all(math.isfinite(log_alpha) for log_alpha in jumps)
+        law = summary.final_state.jump_terms(cfg, model4096)[0]
+        assert law.exponents[-1] < 0
+        assert abs(law.log_z - normalized_size_law(law.probs, cfg.s_max)[0]) < 1e-10
 
 
 class TestStep:

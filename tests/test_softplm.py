@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rss.core import Rng, entropy, finite_diff_gradient, one_hot, row_marginals
+from rss.core import Rng, one_hot, row_marginals
 from rss.softplm import (
     MaskedSequenceModel,
     SoftPlmEnergy,
@@ -9,6 +9,8 @@ from rss.softplm import (
     load_model,
     save_model,
 )
+
+from oracles import entropy, finite_diff_gradient
 
 L, K, D = 6, 5, 8
 

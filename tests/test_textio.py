@@ -148,6 +148,20 @@ def test_ragged_block_names_file_block_and_lengths(tmp_path):
     assert "row 1 has 3 values, row 2 has 4" in message
 
 
+def test_unclosed_tag_names_file_and_line(tmp_path):
+    # it used to fail as "unexpected block [field]", a block the file does not hold
+    path = tmp_path / "landscape.txt"
+    save_landscape(planted_landscape(4, 3, 2, 1.0, Rng(0)), path)
+    lines = path.read_text().splitlines()
+    number = lines.index("[fields]") + 1
+    lines[number - 1] = "[fields"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_landscape(path)
+    assert str(info.value) == (f"{path}: line {number} opens a block tag without closing it: "
+                               f"'[fields'")
+
+
 @pytest.mark.parametrize("old, new, message", [
     # these used to fail with "not enough values to unpack (expected 2, got 1)"
     # and "could not convert string to float: 'abc'", naming no file

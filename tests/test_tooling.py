@@ -185,3 +185,15 @@ def test_workflow_console_script_step(tmp_path):
     assert ",jump," in (tmp_path / "paper-a" / "trace.csv").read_text(encoding="utf-8")
     assert (tmp_path / "run-neg-depth.err").read_text(encoding="utf-8") == (
         f"config error: {tmp_path}/neg-depth.txt: depth must be positive\n")
+
+
+def test_workflow_runs_every_workload_and_demo():
+    # a workload added to BENCHMARK.json or a demo added to demos/ must also
+    # be run by CI; this reads the workflow and both sources, and edits none
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    loops = dict(re.findall(r"^ {10}for (workload|demo) in (.+); do$", workflow, flags=re.M))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert loops["workload"].split() == [w["name"] for w in benchmark["workloads"]]
+    demos = sorted(ROOT.glob("demos/*.py"))
+    assert len(demos) == 4
+    assert sorted(ROOT.glob(loops["demo"])) == demos
