@@ -91,17 +91,26 @@ def as_logits(logits, shape: tuple[int, int] | None = None) -> np.ndarray:
     return arr
 
 
+def _softmax_parts(logits: np.ndarray) -> tuple:
+    # (shifted, expd, norm) of RowSoftmax: the program's one row softmax
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return shifted, expd, expd.sum(axis=1, keepdims=True)
+
+
 class RowSoftmax:
     """The one row softmax of a checked logit matrix (``softmax_rows`` is
     its ``q``), shared by every energy term of one evaluation
     (``EnergyModel.evaluate(logits, rows)``) and kept by its chain state.
 
-    ``shifted`` (the logits less their row maxima), ``norm`` (the row sums
-    of ``exp(shifted)``) and ``q`` (the marginals) are computed on the first
-    read of any of them, so an evaluation whose terms read none takes no
-    softmax. ``log_conditionals`` maps ``(model, tau)`` to the tempered
-    masked-model log-conditionals a prior term computed on ``q``, which the
-    chain reuses for its jumps.
+    ``shifted`` (the logits less their row maxima), ``expd`` (their
+    exponentials) and ``norm`` (the row sums of ``expd``) are computed on
+    the first read of any part; ``q = expd / norm`` and ``log_q = shifted -
+    log(norm)`` (finite where ``log(q)`` is -inf) on their own first reads,
+    so a term that reads none takes no softmax. ``backprop`` takes dE/dq
+    back to dE/dlogits. ``log_conditionals`` maps ``(model, tau)`` to the
+    tempered masked-model log-conditionals a prior term computed on ``q``,
+    which the chain reuses for its jumps.
     """
 
     def __init__(self, logits: np.ndarray):
@@ -109,20 +118,29 @@ class RowSoftmax:
         self.log_conditionals = {}
 
     def __getattr__(self, name: str):
-        # called only for an attribute not yet set: the parts, on first read
-        if name not in ("shifted", "norm", "q"):
+        # called only for an attribute not yet set: each part on first read
+        if name not in ("shifted", "expd", "norm", "q", "log_q"):
             raise AttributeError(name)
-        self.shifted = self.logits - self.logits.max(axis=1, keepdims=True)
-        expd = np.exp(self.shifted)
-        self.norm = expd.sum(axis=1, keepdims=True)
-        self.q = expd / self.norm
-        return getattr(self, name)
+        parts = vars(self)
+        if "norm" not in parts:
+            self.shifted, self.expd, self.norm = _softmax_parts(self.logits)
+        if name == "q":
+            self.q = self.expd / self.norm
+        elif name == "log_q":
+            self.log_q = self.shifted - np.log(self.norm)
+        return parts[name]
+
+    def backprop(self, dE_dq: np.ndarray) -> np.ndarray:
+        """dE/dlogits from v = dE/dq: g_ik = q_ik * (v_ik - <v_i, q_i>)."""
+        inner = (self.q * dE_dq).sum(axis=1, keepdims=True)
+        return self.q * (dE_dq - inner)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """``RowSoftmax(logits).q``: unchecked, for logits the program has
-    already checked or built itself."""
-    return RowSoftmax(logits).q
+    """``RowSoftmax(logits).q`` without the object: unchecked, for logits
+    the program has already checked or built itself."""
+    _, expd, norm = _softmax_parts(logits)
+    return expd / norm
 
 
 def row_marginals(logits) -> np.ndarray:

@@ -50,12 +50,6 @@ class EnergyModel(ABC):
         """Return (energy, gradient) at the given logit matrix."""
 
 
-def _softmax_row_backprop(marginals: np.ndarray, dE_dq: np.ndarray) -> np.ndarray:
-    # chain rule through row-wise softmax: g_ik = q_ik * (v_ik - <v_i, q_i>)
-    inner = (marginals * dE_dq).sum(axis=1, keepdims=True)
-    return marginals * (dE_dq - inner)
-
-
 class CompositeEnergy(EnergyModel):
     """Weighted sum of a structural term and a prior term.
 
@@ -111,9 +105,7 @@ class TargetProfileEnergy(EnergyModel):
     def evaluate(self, logits: np.ndarray,
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
         rows = rows or RowSoftmax(logits)
-        # log q via the shifted logits avoids log(0) for saturated rows
-        log_q = rows.shifted - np.log(rows.norm)
-        value = float(-(self.targets * log_q).sum())
+        value = float(-(self.targets * rows.log_q).sum())
         return value, rows.q - self.targets
 
 
@@ -156,7 +148,8 @@ class PairwiseContactEnergy(EnergyModel):
 
     def evaluate(self, logits: np.ndarray,
                  rows: RowSoftmax | None = None) -> tuple[float, np.ndarray]:
-        q = (rows or RowSoftmax(logits)).q
+        rows = rows or RowSoftmax(logits)
+        q = rows.q
         value = float((q * self.fields).sum())
         dq = self.fields.copy()
         if self.couplings.shape[0]:
@@ -165,7 +158,7 @@ class PairwiseContactEnergy(EnergyModel):
             value += float(np.einsum("ca,cab,cb->", qi, self.couplings, qj))
             np.add.at(dq, self.idx_i, np.einsum("cab,cb->ca", self.couplings, qj))
             np.add.at(dq, self.idx_j, np.einsum("cab,ca->cb", self.couplings, qi))
-        return value, _softmax_row_backprop(q, dq)
+        return value, rows.backprop(dq)
 
     def discrete_energies(self, token_matrix: np.ndarray) -> np.ndarray:
         """Vectorized discrete energies for an (N, L) batch of sequences, with

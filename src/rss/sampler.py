@@ -166,8 +166,9 @@ def walk_propose(
     """
     var = 2.0 * cfg.eta / cfg.beta
     noise = rng.normal(state.logits.shape)
-    mean_forward = state.logits - cfg.eta * state.gradient
-    proposed = mean_forward + np.sqrt(var) * noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_forward = state.logits - cfg.eta * state.gradient
+        proposed = mean_forward + np.sqrt(var) * noise
 
     if not np.all(np.isfinite(proposed)):
         return WalkProposal(proposed, np.nan, np.full_like(state.logits, np.nan), finite=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Rng, RowSoftmax, one_hot, softmax_rows
-from .energy import EnergyModel, _softmax_row_backprop
+from .energy import EnergyModel
 from .textio import read_blocks, write_blocks
 
 LOG_TAU_LOW = float(np.log(0.05))
@@ -126,40 +126,36 @@ class MaskedSequenceModel:
         logits = hidden @ self.readout + self.bias[None, :]
         return logits, hidden
 
-    def conditionals(self, marginals, tau: float) -> np.ndarray:
-        """Masked conditional table p_i(.|q; tau) for all sites, (L, K)."""
+    def _tempered(self, q: np.ndarray, tau: float):
+        # (raw / tau, hidden) on checked rows q: the tempered masked logits,
+        # whose row softmax is every conditional table the model gives
         if tau <= 0:
             raise ValueError("temperature tau must be positive")
-        return softmax_rows(self.masked_logits(marginals) / tau)
+        raw, hidden = self._forward(q)
+        return raw / tau, hidden
+
+    def conditionals(self, marginals, tau: float) -> np.ndarray:
+        """Masked conditional table p_i(.|q; tau) for all sites, (L, K)."""
+        return softmax_rows(self._tempered(_check_marginals(marginals, self.shape), tau)[0])
 
     def log_conditionals(self, marginals, tau: float) -> np.ndarray:
         """log of ``conditionals``, exact in log space (no probability floor)."""
-        if tau <= 0:
-            raise ValueError("temperature tau must be positive")
-        return _tempered_log_softmax(self.masked_logits(marginals), tau)
+        return RowSoftmax(self._tempered(_check_marginals(marginals, self.shape), tau)[0]).log_q
 
     # -- front doors: rows built here from checked input, not checked again -
 
     def conditionals_from_tokens(self, tokens, tau: float) -> np.ndarray:
         """Discrete mode: ``conditionals`` on the exact one-hot rows of a
         token sequence, whose tokens ``one_hot`` checks."""
-        if tau <= 0:
-            raise ValueError("temperature tau must be positive")
         q = one_hot(tokens, self.shape[1])
         if q.shape != self.shape:
             raise ValueError(f"token sequence must have length {self.shape[0]}")
-        return softmax_rows(self._forward(q)[0] / tau)
+        return softmax_rows(self._tempered(q, tau)[0])
 
     def log_conditionals_from_logits(self, logits, tau: float) -> np.ndarray:
         """``log_conditionals`` on the softmax rows of checked logits (a
-        chain state or proposal) at a checked ``tau``."""
-        return _tempered_log_softmax(self._forward(softmax_rows(logits))[0], tau)
-
-
-def _tempered_log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
-    scaled = logits / tau
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    return scaled - np.log(np.exp(scaled).sum(axis=1, keepdims=True))
+        chain state or proposal)."""
+        return RowSoftmax(self._tempered(softmax_rows(logits), tau)[0]).log_q
 
 
 class SoftPlmEnergy(EnergyModel):
@@ -191,9 +187,8 @@ class SoftPlmEnergy(EnergyModel):
 
         rows = rows or RowSoftmax(logits)
         q = rows.q
-        raw, hidden = model._forward(q)
-        log_p = _tempered_log_softmax(raw, tau)
-        rows.log_conditionals[model, tau] = log_p
+        tempered, hidden = model._tempered(q, tau)
+        log_p = rows.log_conditionals[model, tau] = RowSoftmax(tempered).log_q
         p = np.exp(log_p)
         value = float(-(q * log_p).sum())
 
@@ -208,7 +203,7 @@ class SoftPlmEnergy(EnergyModel):
         # outer pathway: dE/dq_i holding conditionals fixed
         dq_outer = -log_p
 
-        return value, _softmax_row_backprop(q, dq_outer + dq_context)
+        return value, rows.backprop(dq_outer + dq_context)
 
 
 def golden_section_minimize(fn, lo: float, hi: float, tol: float) -> float:
@@ -250,22 +245,15 @@ def calibrate_temperature(
             f"model shape {model.shape} differs from reference {reference.shape}"
         )
 
-    ref_rows = []
-    raw_rows = []
-    for tokens, site in contexts:
-        marg = one_hot(tokens, model.shape[1])
-        ref_rows.append(reference.conditionals(marg, 1.0)[site])
-        raw_rows.append(model.masked_logits(marg)[site])
-    ref_rows = np.stack(ref_rows)
-    raw_rows = np.stack(raw_rows)
+    margs = [(one_hot(tokens, model.shape[1]), site) for tokens, site in contexts]
+    ref_rows = np.stack([reference.conditionals(marg, 1.0)[site] for marg, site in margs])
+    raw_rows = np.stack([model.masked_logits(marg)[site] for marg, site in margs])
 
     def objective(log_tau: float) -> float:
-        log_p = _tempered_log_softmax(raw_rows, float(np.exp(log_tau)))
+        log_p = RowSoftmax(raw_rows / float(np.exp(log_tau))).log_q
         # mean KL(ref || p); ref entropy term is constant but kept for clarity
         nz = ref_rows > 0
-        return float(
-            np.sum(ref_rows[nz] * (np.log(ref_rows[nz]) - log_p[nz])) / len(contexts)
-        )
+        return float(np.sum(ref_rows[nz] * (np.log(ref_rows[nz]) - log_p[nz])) / len(contexts))
 
     log_tau = golden_section_minimize(objective, LOG_TAU_LOW, LOG_TAU_HIGH, LOG_TAU_TOL)
     return float(np.exp(log_tau))

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LOG_FLOOR, Rng, _js, as_logits, cross_entropy, kl_divergence, one_hot,
-                   softmax_rows)
+from .core import (LOG_FLOOR, Rng, RowSoftmax, _js, as_logits, cross_entropy, kl_divergence,
+                   one_hot)
 from .energy import EnergyModel
 from .sampler import MaskLaw, SamplerConfig, mask_probabilities
-from .softplm import MaskedSequenceModel, _tempered_log_softmax
+from .softplm import MaskedSequenceModel
 
 EPS_GRID_DEFAULT = (0.0, 0.2, 0.4, 0.6, 0.8)
 BLUR_FRACTION = 0.3
@@ -92,8 +92,8 @@ def random_sequences(length: int, vocab: int, count: int, rng: Rng) -> np.ndarra
 @dataclass
 class FidelityReport:
     mean_kl: float
-    spearman_mean: float
-    spearman_median: float
+    spearman_mean: float | None     # None when no sequence gives a defined rho
+    spearman_median: float | None
     sample_count: int
 
 
@@ -122,9 +122,8 @@ def onehot_fidelity(
     rhos = []
     for tokens in sequences:
         discrete = model.conditionals_from_tokens(tokens, tau)
-        raw = model.masked_logits(one_hot(tokens, vocab))
-        soft = softmax_rows(raw / tau)
-        soft_log = _tempered_log_softmax(raw, tau)
+        relaxed = RowSoftmax(model.masked_logits(one_hot(tokens, vocab)) / tau)
+        soft, soft_log = relaxed.q, relaxed.log_q
         site = rng.integer(length)
         kls.append(kl_divergence(discrete[site], soft[site]))
         native = tokens[site]
@@ -137,8 +136,8 @@ def onehot_fidelity(
             rhos.append(rho)
     return FidelityReport(
         mean_kl=float(np.mean(kls)),
-        spearman_mean=float(np.mean(rhos)) if rhos else float("nan"),
-        spearman_median=float(np.median(rhos)) if rhos else float("nan"),
+        spearman_mean=float(np.mean(rhos)) if rhos else None,
+        spearman_median=float(np.median(rhos)) if rhos else None,
         sample_count=len(kls),
     )
 

@@ -6,6 +6,7 @@ import pytest
 
 from rss.core import (
     Rng,
+    RowSoftmax,
     argmax_decode,
     cross_entropy,
     decode_to_letters,
@@ -55,6 +56,26 @@ class TestRowMarginals:
         bad[1, 1] = np.inf
         with pytest.raises(ValueError):
             row_marginals(bad)
+
+
+class TestRowSoftmax:
+    def test_log_q_is_shifted_less_log_norm(self):
+        rows = RowSoftmax(Rng(12).normal((6, 5)))
+        assert rows.log_q.tobytes() == (rows.shifted - np.log(rows.norm)).tobytes()
+
+    def test_log_q_finite_on_saturated_row(self):
+        rows = RowSoftmax(np.array([[0.0, -800.0]]))
+        with np.errstate(divide="ignore"):
+            assert np.log(rows.q)[0, 1] == -np.inf
+        assert np.all(np.isfinite(rows.log_q))
+        np.testing.assert_array_equal(rows.log_q, [[0.0, -800.0]])
+
+    def test_backprop_matches_central_differences(self):
+        rng = Rng(13)
+        logits = rng.normal((4, 5))
+        v = rng.normal((4, 5))
+        numeric = finite_diff_gradient(lambda x: float((v * row_marginals(x)).sum()), logits)
+        np.testing.assert_allclose(RowSoftmax(logits).backprop(v), numeric, rtol=0, atol=1e-6)
 
 
 class TestArgmaxDecode:

@@ -109,6 +109,8 @@ class TestSharedRows:
         energy.evaluate(logits, rows)
         kept = rows.log_conditionals[model, 0.7]
         assert kept.tobytes() == model.log_conditionals_from_logits(logits, 0.7).tobytes()
+        # the checked call on the same marginals tempers in the same routine
+        assert kept.tobytes() == model.log_conditionals(rows.q, 0.7).tobytes()
 
     def test_gaussian_terms_leave_the_rows_unread(self, models):
         gaussian = models["gaussian"]

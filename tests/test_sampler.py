@@ -171,13 +171,14 @@ class TestWalk:
 
     def test_overflowing_logits_vetoed_before_evaluation(self, gaussian):
         # logits - eta * gradient overflows at one entry: the walk vetoes the
-        # proposal without spending an evaluation on it
+        # proposal without spending an evaluation on it, and without a warning
         gradient = np.zeros((L, K))
         gradient[1, 2] = 1e308
         state = ChainState(np.zeros((L, K)), 0.0, gradient)
         counting = CountingEnergy(gaussian)
         cfg = SamplerConfig(beta=1.0, eta=2.0)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             proposal = walk_propose(state, cfg, counting, Rng(80))
         assert not proposal.finite
         assert not np.all(np.isfinite(proposal.logits))

@@ -16,9 +16,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from rss.cli import load_config, main
+from rss.softplm import MaskedSequenceModel, save_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CHILD = ROOT / "benchmarks" / "child.py"
@@ -148,15 +150,26 @@ def test_json_outputs_are_strict_json(tmp_path):
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
 
-    for command, text in SMALL_CONFIGS.items():
-        config = tmp_path / f"{command}.ini"
+    # a model whose weights are all zero gives uniform conditionals, so no
+    # Spearman correlation of `rss validate` is defined: each reads null
+    zero = tmp_path / "zero.model"
+    save_model(MaskedSequenceModel(np.zeros((4, 4)), np.zeros(4), np.zeros((5, 4)),
+                                   np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(4)), zero)
+    runs = [(command, command, text) for command, text in SMALL_CONFIGS.items()]
+    runs.append(("validate", "validate-zero",
+                 SMALL_CONFIGS["validate"].replace("[model]\n", f"[model]\nfile = {zero}\n")))
+    for command, name, text in runs:
+        config = tmp_path / f"{name}.ini"
         config.write_text(text, encoding="utf-8")
-        out = tmp_path / command
+        out = tmp_path / name
         assert main([command, "--config", str(config), "--out", str(out)]) == 0
         written = sorted(out.glob("*.json"))
         assert written, command
         for path in written:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    zero_report = json.loads((tmp_path / "validate-zero" / "validation.json").read_text(
+        encoding="utf-8"))
+    assert zero_report["onehot_fidelity_grad_spearman_mean"]["value"] is None
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
