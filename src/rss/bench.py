@@ -27,7 +27,7 @@ from .energy import (
     PairwiseContactEnergy,
     PlantedLandscape,
 )
-from .sampler import SamplerConfig, run_chain
+from .sampler import ChainState, SamplerConfig, run_chain
 from .softplm import MaskedSequenceModel, SoftPlmEnergy
 
 METHODS = ("rss", "rso", "rso-noplm")
@@ -44,39 +44,34 @@ class RsoTrajectory:
 def run_rso(logits0, energy: EnergyModel, eta: float, steps: int) -> RsoTrajectory:
     """Deterministic gradient descent: logits <- logits - eta * grad.
 
-    Every state including the final one is evaluated (steps + 1 evaluations
-    for a full run). The trajectory is truncated and flagged if a value or
-    gradient goes non-finite or the energy rises 100 steps in a row.
+    Every state including the final one is evaluated, each by one
+    ``ChainState.evaluated`` (steps + 1 evaluations for a full run). The
+    trajectory is truncated and flagged if a state's value or gradient, or
+    a step, goes non-finite or the energy rises 100 steps in a row.
     """
-    if eta <= 0:
+    if not eta > 0:  # written so that NaN fails too
         raise ValueError("eta must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     counting = CountingEnergy(energy)
-    state = as_logits(logits0, energy.shape).copy()
-    states = [state.copy()]
+    state = ChainState.evaluated(as_logits(logits0, energy.shape).copy(), counting)
+    states = [state.logits]
     diverged = False
     previous = np.inf
     rising = 0
     for _ in range(steps):
+        rising = rising + 1 if state.energy > previous else 0
+        if not state.finite or rising >= 100:
+            diverged = True
+            break
+        previous = state.energy
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad = counting.evaluate(state)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            stepped = state.logits - eta * state.gradient
+        if not np.all(np.isfinite(stepped)):
             diverged = True
             break
-        rising = rising + 1 if value > previous else 0
-        if rising >= 100:
-            diverged = True
-            break
-        previous = value
-        state = state - eta * grad
-        if not np.all(np.isfinite(state)):
-            diverged = True
-            break
-        states.append(state.copy())
-    else:
-        # final-state evaluation keeps the evaluation count at steps + 1
-        counting.evaluate(state)
+        state = ChainState.evaluated(stepped, counting)
+        states.append(stepped)
     return RsoTrajectory(states=states, diverged=diverged, energy_evaluations=counting.calls)
 
 
@@ -166,8 +161,8 @@ class CampaignConfig:
         # `not x >= 0`, not `x < 0`, so that NaN fails too
         if not self.lam >= 0:
             raise ValueError("prior weight lam must be >= 0")
-        if not self.ridge_scale >= 0:
-            raise ValueError("ridge_scale must be >= 0")
+        # the ridge term's checks, here rather than in every seed
+        compose_energy(self.landscape.energy, self.ridge_scale, None, 0.0, 1.0)
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         if self.seed0 < 0:

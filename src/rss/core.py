@@ -59,11 +59,12 @@ class Rng:
         cdf = np.cumsum(w)
         if cdf[-1] <= 0:
             raise ValueError("categorical weights sum to zero")
-        return self._inverse_cdf(cdf)
+        return self.inverse_cdf(cdf)
 
-    def _inverse_cdf(self, cdf: np.ndarray) -> int:
-        # unchecked: the cumulative sums of nonnegative weights with a
-        # positive total; the index of the first sum above one uniform
+    def inverse_cdf(self, cdf: np.ndarray) -> int:
+        """Index of the first entry of ``cdf`` above one uniform times its
+        last entry. Unchecked: ``cdf`` must be the cumulative sums, in index
+        order, of nonnegative weights with a positive total."""
         idx = int(np.searchsorted(cdf, self.uniform() * cdf[-1], side="right"))
         return min(idx, cdf.size - 1)
 
@@ -174,17 +175,24 @@ def hamming_distance(a, b) -> int:
     return int((np.asarray(a) != np.asarray(b)).sum())
 
 
+def as_simplex_rows(rows, name: str) -> np.ndarray:
+    """Validate and return float64 ``rows`` whose rows (along the last
+    axis) are finite, nonnegative and sum to 1 within 1e-8; ``name`` names
+    them in the error. The one simplex check: each caller checks its shape."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-8):
+        raise ValueError(f"{name} must sum to 1")
+    return arr
+
+
 def _check_simplex_pair(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"distribution lengths differ: {p.shape} vs {q.shape}")
-    for name, v in (("p", p), ("q", q)):
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError(f"{name} is not a valid distribution")
-        if abs(v.sum() - 1.0) > 1e-8:
-            raise ValueError(f"{name} does not sum to 1 (sum={v.sum()!r})")
-    return p, q
+    return as_simplex_rows(p, "p"), as_simplex_rows(q, "q")
 
 
 def cross_entropy(p, q) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, RowSoftmax, hamming_distance
+from .core import Rng, RowSoftmax, as_simplex_rows, hamming_distance
 from .textio import read_blocks, write_blocks
 
 
@@ -93,9 +93,7 @@ class TargetProfileEnergy(EnergyModel):
         targets = np.asarray(targets, dtype=np.float64)
         if targets.ndim != 2:
             raise ValueError("targets must be an (L, K) matrix")
-        if np.any(targets < 0) or np.any(np.abs(targets.sum(axis=1) - 1.0) > 1e-8):
-            raise ValueError("each target row must lie on the simplex")
-        self.targets = targets
+        self.targets = as_simplex_rows(targets, "target rows")
         self.targets.flags.writeable = False
 
     @property
@@ -194,11 +192,13 @@ class GaussianEnergy(EnergyModel):
         center = np.asarray(center, dtype=np.float64)
         if center.ndim != 2:
             raise ValueError("center must be an (L, K) matrix")
-        if scale <= 0:
+        if not scale > 0:  # written so that NaN fails too
             raise ValueError("scale must be positive")
+        self.scale = float(scale)
+        if not 0.0 < self.scale * self.scale < np.inf:
+            raise ValueError(f"scale must have a positive finite square, got {self.scale!r}")
         self.center = center
         self.center.flags.writeable = False
-        self.scale = float(scale)
 
     @property
     def shape(self) -> tuple[int, int]:

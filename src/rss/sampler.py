@@ -279,19 +279,15 @@ class MaskLaw:
         """A site set and its ``log_mass`` under ``mask_mode``.
 
         Conditional-Bernoulli sampling (Chen, Dempster & Liu 1994) from the
-        size table: |S| = k by inverse CDF over P(|S| = k), k = 1..s_max,
-        summed in index order; then sites from the last to the first, site i
-        taken with probability p_i P(k-1 among sites < i) / P(k among sites
-        <= i) while k remain to place. One uniform for the size and at most
+        size table: |S| = k by ``Rng.inverse_cdf`` over P(|S| = k), k = 1..
+        s_max, summed in index order; then sites from the last to the first,
+        site i taken with probability p_i P(k-1 among sites < i) / P(k among
+        sites <= i) while k remain to place. One uniform for the size and at most
         one per site. Returns the sites sorted.
         """
         self._require_mask()
         table, exponents = self.table, self.exponents
-        cdf = [table[-1][1]]
-        for mass in table[-1][2:]:
-            cdf.append(cdf[-1] + mass)
-        u = rng.uniform() * cdf[-1]
-        k = 1 + next((j for j, c in enumerate(cdf) if c > u), len(cdf) - 1)
+        k = 1 + rng.inverse_cdf(np.cumsum(table[-1][1:]))
         picked = []
         plist = self.probs.tolist()
         for i in range(self.probs.size - 1, -1, -1):
@@ -345,8 +341,8 @@ def jump_propose(
 
     Sites outside the mask are untouched. Draw order is fixed (sites
     ascending; forward token then reference token) so runs replay exactly.
-    A forward token is ``Rng.categorical``'s inverse-CDF draw on its site's
-    conditional, whose rows are finite and positive by construction.
+    A forward token is ``Rng.inverse_cdf``'s draw on its site's conditional,
+    whose rows are finite and positive by construction.
     """
     law, log_cond = state.jump_terms(cfg, model)
     sites, log_mass = law.draw(rng, cfg.mask_mode)
@@ -358,7 +354,7 @@ def jump_propose(
     forward, reference = [], []
     log_plm = 0.0
     for pos in range(sites.size):
-        token = rng._inverse_cdf(cdfs[pos])
+        token = rng.inverse_cdf(cdfs[pos])
         forward.append(token)
         reference.append(rng.integer(vocab))
         log_plm += float(masked[pos, token])

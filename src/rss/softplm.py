@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Rng, RowSoftmax, one_hot, softmax_rows
+from .core import Rng, RowSoftmax, as_simplex_rows, one_hot, softmax_rows
 from .energy import EnergyModel
 from .textio import read_blocks, write_blocks
 
@@ -32,11 +32,7 @@ def _check_marginals(marginals: np.ndarray, shape: tuple[int, int]) -> np.ndarra
     q = np.asarray(marginals, dtype=np.float64)
     if q.shape != shape:
         raise ValueError(f"marginal matrix must have shape {shape}, got {q.shape}")
-    if not np.all(np.isfinite(q)) or np.any(q < 0):
-        raise ValueError("marginal rows must be finite and nonnegative")
-    if np.any(np.abs(q.sum(axis=1) - 1.0) > 1e-8):
-        raise ValueError("marginal rows must sum to 1")
-    return q
+    return as_simplex_rows(q, "marginal rows")
 
 
 class MaskedSequenceModel:
@@ -129,7 +125,7 @@ class MaskedSequenceModel:
     def _tempered(self, q: np.ndarray, tau: float):
         # (raw / tau, hidden) on checked rows q: the tempered masked logits,
         # whose row softmax is every conditional table the model gives
-        if tau <= 0:
+        if not tau > 0:  # written so that NaN fails too
             raise ValueError("temperature tau must be positive")
         raw, hidden = self._forward(q)
         return raw / tau, hidden
@@ -172,7 +168,7 @@ class SoftPlmEnergy(EnergyModel):
     """
 
     def __init__(self, model: MaskedSequenceModel, tau: float):
-        if tau <= 0:
+        if not tau > 0:  # written so that NaN fails too
             raise ValueError("temperature tau must be positive")
         self.model = model
         self.tau = float(tau)

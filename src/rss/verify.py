@@ -467,7 +467,7 @@ def run_validation_suite(
         # tokens each; fidelity ranks K - 1 >= 2 substitutions
         raise ValueError(f"the validation suite needs L >= {LIBRARY_SITES} and "
                          f"K >= {OPTION_SIZE}, got L = {length}, K = {vocab}")
-    if tau <= 0:
+    if not tau > 0:  # written so that NaN fails too
         raise ValueError("temperature tau must be positive")
     for key, count in (("n_sequences", n_sequences), ("k_mc", k_mc), ("k_variants", k_variants)):
         if count < 1:

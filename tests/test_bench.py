@@ -21,6 +21,7 @@ from rss.core import Rng
 from rss.energy import (
     CompositeEnergy,
     GaussianEnergy,
+    TargetProfileEnergy,
     enumerate_discrete_energies,
     planted_landscape,
 )
@@ -81,6 +82,21 @@ class TestRunRso:
         traj = run_rso(Rng(96).normal((3, 3)), energy, 250.0, steps=300)
         assert traj.diverged
         assert len(traj.states) < 301
+
+    def test_divergent_trajectory_pinned(self, landscape, model):
+        # planted + ridge + prior at eta 100: the ridge drives the logits
+        # out until an evaluation overflows at the 78th state
+        energy = compose_energy(landscape.energy, 1.0, model, 0.5, 1.0)
+        traj = run_rso(Rng(93).normal((6, 4)), energy, 100.0, steps=400)
+        assert (len(traj.states), traj.diverged, traj.energy_evaluations) == (78, True, 78)
+
+    def test_overflowing_step_diverges_without_warning(self):
+        # the first descent step overflows: the start's is the only evaluation
+        energy = TargetProfileEnergy([[0.9, 0.1], [0.2, 0.8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run_rso(np.full((2, 2), 1.7e308), energy, 1e308, 5)
+        assert (len(traj.states), traj.diverged, traj.energy_evaluations) == (1, True, 1)
 
 
 class TestClustering:

@@ -856,6 +856,12 @@ class TestConfigErrors:
         text = TestPinnedBytes.BENCH_CONFIG.replace("ridge_scale = 1.0", "ridge_scale = -2.5")
         self.check_rejected(tmp_path, capsys, "bench", text, "ridge_scale must be >= 0")
 
+    def test_bench_ridge_scale_of_infinite_square_exit_two(self, tmp_path, capsys):
+        # it used to run with a ridge of curvature exactly 0 and exit 0
+        text = TestPinnedBytes.BENCH_CONFIG.replace("ridge_scale = 1.0", "ridge_scale = 1e160")
+        self.check_rejected(tmp_path, capsys, "bench", text,
+                            "scale must have a positive finite square, got 1e+160")
+
     # a masked model of width 0 used to give NaN energies in `rss run`
     # (summary.json held NaN tokens), unequal evaluation counts in `rss
     # bench`, tau_star at the edge of the search range in `rss calibrate`

@@ -28,6 +28,7 @@ from rss.energy import (
 from rss.bench import run_rso
 from rss.sampler import ChainState
 from rss.softplm import MaskedSequenceModel, SoftPlmEnergy
+from rss.verify import run_validation_suite
 
 from oracles import finite_diff_gradient
 
@@ -208,6 +209,40 @@ class TestTargetProfile:
                 value, grad = energy.evaluate(logits)
                 assert value == float(-(targets * log_q).sum())
                 assert np.array_equal(grad, q - targets)
+
+
+    def test_nan_target_row_rejected(self):
+        # a NaN row used to pass the simplex check and evaluate to nan
+        with pytest.raises(ValueError, match="^target rows must be finite and nonnegative$"):
+            TargetProfileEnergy([[0.5, 0.5], [np.nan, 0.5]])
+
+
+class TestGaussian:
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, np.inf])
+    def test_scale_square_must_be_positive_and_finite(self, scale):
+        # 1e-170 used to pass and then divide by zero in evaluate, and
+        # 1e160 used to give a well of curvature exactly 0
+        with pytest.raises(ValueError, match="^scale must have a positive finite square"):
+            GaussianEnergy(np.zeros((2, 2)), scale)
+
+
+def _nan_model(length=4, vocab=3):
+    return MaskedSequenceModel.random(length, vocab, 2, Rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda nan: GaussianEnergy(np.zeros((2, 2)), nan), "scale must be positive"),
+    (lambda nan: run_rso(np.zeros((2, 2)), GaussianEnergy(np.zeros((2, 2)), 1.0), nan, 3),
+     "eta must be positive"),
+    (lambda nan: _nan_model().conditionals_from_tokens([0, 1, 2, 0], nan),
+     "temperature tau must be positive"),
+    (lambda nan: SoftPlmEnergy(_nan_model(), nan), "temperature tau must be positive"),
+    (lambda nan: run_validation_suite(_nan_model(), 0, tau=nan), "temperature tau must be positive"),
+], ids=["gaussian-scale", "rso-eta", "model-tau", "prior-tau", "suite-tau"])
+def test_nan_positive_parameter_rejected(call, message):
+    # each positivity check is written `not x > 0`: with `x <= 0` NaN passed
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(float("nan"))
 
 
 class TestPairwise:
